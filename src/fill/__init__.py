@@ -50,7 +50,7 @@ from .explain import (
     explain_record,
     top_features,
 )
-from .stats import TestResult, bh_fdr, binom_sf, fisher_exact, welch_t
+from .stats import TestResult, bh_fdr, binom_sf, binom_tail, fisher_exact, welch_t
 from .synth import SynthSpec, default_spec, synth_cohort, synth_cohort_with_truth
 from .tune import (
     CriterionA,

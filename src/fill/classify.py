@@ -3,8 +3,7 @@
 A record is assigned the positive label only when its distance
 neighborhood contains significantly more positives than the cohort-wide
 base rate predicts, judged by a one-tailed binomial test. Everything here
-is pure given (cohort, model, distances) and may run per-record in
-parallel with deterministic output.
+is pure given (cohort, model, distances).
 """
 
 from dataclasses import dataclass
@@ -15,7 +14,6 @@ import numpy as np
 from .cohort import Cohort, Label
 from .distance import DistanceMatrix, Metric
 from .errors import ModelCohortMismatch, NoLabeledRecords, UnknownRecord
-from .parallel import thread_map
 from .stats import binom_sf
 
 
@@ -119,14 +117,13 @@ def impute_unknowns(
     distances: DistanceMatrix,
     threads: int = 1,
 ) -> list[ClassificationResult]:
-    """Classify every UNKNOWN record, in cohort order."""
+    """Classify every UNKNOWN record, in cohort order.
+
+    threads is accepted for compatibility and ignored.
+    """
     expected = tuple(
         rid for rid, lab in zip(cohort.ids, cohort.labels) if lab is not Label.UNKNOWN
     )
     if model.labeled_ids != expected:
         raise ModelCohortMismatch("model was fit on a different labeled set")
-    return thread_map(
-        lambda rid: classify(rid, cohort, model, distances),
-        cohort.unknown_ids,
-        threads,
-    )
+    return [classify(rid, cohort, model, distances) for rid in cohort.unknown_ids]

@@ -220,7 +220,6 @@ def cmd_tune(cfg: RunConfig) -> int:
             radius_grid,
             threshold_grid,
             criterion,
-            threads=cfg.threads,
         )
     except NoFeasibleCell as exc:
         report.write_tree(
@@ -276,7 +275,7 @@ def cmd_impute(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     distances = distance_matrix(cohort, metric)
     model = FillModel.fit(cohort, hp)
-    results = impute_unknowns(cohort, model, distances, threads=cfg.threads)
+    results = impute_unknowns(cohort, model, distances)
     report.write_imputations(results, out / "imputations.csv")
     n_pos = sum(1 for r in results if r.decision.name == "POS")
     n_labeled = len(model.labeled_ids)
@@ -394,7 +393,7 @@ def _add_io_flags(p):
     p.add_argument("--input", help="cohort CSV file")
     p.add_argument("--schema", help="column roles, e.g. continuous=age;ignore=x1")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
     p.add_argument("--seed", type=int, help="64-bit unsigned seed")
 
 

@@ -5,7 +5,9 @@ few thousand records and naive products of binomial terms underflow long
 before that.
 """
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +26,23 @@ from .errors import (
 _FISHER_REL_TOL = 1e-7
 
 _logfact = gammaln(np.arange(256, dtype=np.float64))
+_logfact_lock = threading.Lock()
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """Cached lgamma table; _log_factorials(n)[m] == log(m!) for m <= n."""
+    """Cached lgamma table: _log_factorials(n)[m] == log((m-1)!) for 1 <= m <= n.
+
+    The shared table only grows, and the caller gets the table it checked,
+    so a concurrent call for a smaller n can never hand back a short one.
+    """
     global _logfact
-    if n + 1 >= _logfact.size:
-        _logfact = gammaln(np.arange(2 * (n + 1), dtype=np.float64))
-    return _logfact
+    table = _logfact
+    if n + 1 < table.size:
+        return table
+    with _logfact_lock:
+        if n + 1 >= _logfact.size:
+            _logfact = gammaln(np.arange(2 * (n + 1), dtype=np.float64))
+        return _logfact
 
 
 @dataclass(frozen=True)
@@ -40,32 +51,57 @@ class TestResult:
     p_value: float
 
 
-def binom_sf(k: int, n: int, p: float) -> float:
-    """P(X >= k) for X ~ Binomial(n, p).
+def binom_tail(n: int, p: float) -> np.ndarray:
+    """t[k] = P(X >= k) for X ~ Binomial(n, p) and k = 0, ..., n + 1.
 
     Summed from exact log-binomial coefficients with the log-sum-exp
-    pattern. P(X >= 0) is 1 by definition. The shift is taken over the
-    full term range and the suffix is summed with fsum, so the result is
-    exactly non-increasing in k: calls for k and k+1 round the same term
-    set and correct rounding preserves their ordering.
+    pattern: the shift is taken over the full term range and the tail is
+    one reverse cumulative sum. A running sum of non-negative terms never
+    decreases, so t is exactly non-increasing in k; t[0] is 1 and t[n + 1]
+    is 0 by definition.
+    """
+    n = int(n)
+    if n < 0 or not (0.0 <= p <= 1.0) or not math.isfinite(p):
+        raise InvalidArguments(f"binom_tail(n={n}, p={p})")
+    tail = np.empty(n + 2, dtype=np.float64)
+    tail[n + 1] = 0.0
+    head = tail[: n + 1]
+    if p == 0.0 or p == 1.0:
+        head.fill(p)
+    else:
+        lf = _log_factorials(n + 1)
+        j = np.arange(0, n + 1)
+        # log C(n, j) = log n! - log j! - log (n - j)!; the slices are lf[j + 1], lf[n - j + 1]
+        log_coef = lf[n + 1] - lf[1 : n + 2] - lf[n + 1 : 0 : -1]
+        log_terms = log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
+        shift = float(log_terms.max())
+        np.cumsum(np.exp(log_terms - shift)[::-1], out=head[::-1])
+        head *= math.exp(shift)
+        np.minimum(head, 1.0, out=head)
+    tail[0] = 1.0
+    return tail
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_tail(n: int, p: float) -> np.ndarray:
+    # Read-only: every binom_sf call for this (n, p) reads this one table.
+    # Bounded, so it holds at most 256 tables of the largest n seen.
+    tail = binom_tail(n, p)
+    tail.setflags(write=False)
+    return tail
+
+
+def binom_sf(k: int, n: int, p: float) -> float:
+    """P(X >= k) for X ~ Binomial(n, p); exactly binom_tail(n, p)[k].
+
+    Recent tables are kept, so per-record calls that share a neighborhood
+    size and base rate build the table once.
     """
     k = int(k)
     n = int(n)
     if k < 0 or n < 0 or k > n or not (0.0 <= p <= 1.0) or not math.isfinite(p):
         raise InvalidArguments(f"binom_sf(k={k}, n={n}, p={p})")
-    if k == 0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    lf = _log_factorials(n + 1)
-    j = np.arange(0, n + 1)
-    log_coef = lf[n + 1] - lf[j + 1] - lf[n - j + 1]
-    log_terms = log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
-    shift = float(log_terms.max())
-    tail = math.fsum(np.exp(log_terms[k:] - shift).tolist())
-    return min(1.0, math.exp(shift) * tail)
+    return float(_shared_tail(n, float(p))[k])
 
 
 def _log_hypergeom(x, c1, c2, r1, lf):

@@ -14,8 +14,13 @@ from .classify import Hyperparameters, base_rate
 from .cohort import Cohort
 from .distance import DistanceMatrix, Metric, distance_matrix
 from .errors import EmptyGrid, NoFeasibleCell, TooFewLabeled
-from .parallel import thread_map
-from .stats import binom_sf
+# binom_sf is not called here; it stays importable as fill.tune.binom_sf
+# because perfbench/tracing.py wraps it and perfbench/test_check.py deletes it.
+from .stats import binom_sf, binom_tail  # noqa: F401
+
+# Distance rows bucketed per pass: the count kernel's temporaries hold
+# _ROW_BLOCK x n_labeled entries instead of n x n_labeled.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -73,22 +78,51 @@ class FrontierPoint:
     true_positives: int | None = None
 
 
-def _radius_pvalues(cohort, distances, p0, radius):
-    """Per-record (n, k, p) with the record itself excluded from its ball."""
-    within = distances.values <= radius
-    np.fill_diagonal(within, False)
-    n_arr = (within & cohort.labeled_mask[None, :]).sum(axis=1)
-    k_arr = (within & cohort.pos_mask[None, :]).sum(axis=1)
-    p_arr = np.empty(len(cohort), dtype=np.float64)
-    memo = {}
-    for i, (n, k) in enumerate(zip(n_arr.tolist(), k_arr.tolist())):
-        key = (k, n)
-        p = memo.get(key)
-        if p is None:
-            p = binom_sf(k, n, p0)
-            memo[key] = p
-        p_arr[i] = p
-    return n_arr, k_arr, p_arr
+def _neighborhood_counts(cohort, distances, radii):
+    """N[i, r] labeled and K[i, r] POS records within radii[r] of record i.
+
+    radii must be sorted ascending. Each labeled neighbor goes to the
+    first radius whose closed ball holds it, or to the never bucket
+    len(radii); the record itself always goes to the never bucket. A
+    cumulative sum over the per-bucket counts then gives the counts at
+    every radius from one pass over the distances.
+    """
+    labeled = np.flatnonzero(cohort.labeled_mask)
+    pos = cohort.pos_mask[labeled]
+    column_of = np.full(len(cohort), -1)
+    column_of[labeled] = np.arange(labeled.size)
+    n_buckets = len(radii) + 1
+    n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
+    k_arr = np.empty_like(n_arr)
+    for start in range(0, len(cohort), _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, len(cohort))
+        bucket = np.searchsorted(radii, distances.values[start:stop, labeled], side="left")
+        own = np.flatnonzero(column_of[start:stop] >= 0)
+        bucket[own, column_of[start + own]] = len(radii)
+        # one bincount per block: row r's buckets are shifted to r * n_buckets
+        bucket += np.arange(0, (stop - start) * n_buckets, n_buckets)[:, None]
+        for out, cols in ((n_arr, bucket), (k_arr, bucket[:, pos])):
+            counts = np.bincount(cols.ravel(), minlength=(stop - start) * n_buckets)
+            out[start:stop] = counts.reshape(-1, n_buckets)[:, :-1].cumsum(axis=1)
+    return n_arr, k_arr
+
+
+def _tail_pvalues(n_arr, k_arr, p0):
+    """P(X >= K) for X ~ Binomial(N, p0), elementwise.
+
+    One tail table per distinct N, each built and read while it is the
+    only one alive: all tables together would hold O(n_labeled**2) floats.
+    """
+    flat_n = n_arr.ravel()
+    flat_k = k_arr.ravel()
+    order = np.argsort(flat_n)
+    sizes, starts = np.unique(flat_n[order], return_index=True)
+    ends = np.append(starts[1:], flat_n.size)
+    p_arr = np.empty(flat_n.size, dtype=np.float64)
+    for n, lo, hi in zip(sizes.tolist(), starts.tolist(), ends.tolist()):
+        at = order[lo:hi]
+        p_arr[at] = binom_tail(n, p0)[flat_k[at]]
+    return p_arr.reshape(n_arr.shape)
 
 
 def _cell_metrics(cohort, p_arr, threshold) -> LooMetrics:
@@ -114,9 +148,9 @@ def loo_evaluate(
     """
     if int(cohort.labeled_mask.sum()) < 2:
         raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
-    p0 = base_rate(cohort)
-    _, _, p_arr = _radius_pvalues(cohort, distances, p0, hp.radius)
-    return _cell_metrics(cohort, p_arr, hp.p_threshold)
+    n_arr, k_arr = _neighborhood_counts(cohort, distances, np.array([hp.radius]))
+    p_arr = _tail_pvalues(n_arr, k_arr, base_rate(cohort))
+    return _cell_metrics(cohort, p_arr[:, 0], hp.p_threshold)
 
 
 def default_radius_grid(cohort: Cohort, distances: DistanceMatrix) -> tuple[float, ...]:
@@ -159,7 +193,11 @@ def evaluate_grid(
     distances: DistanceMatrix | None = None,
     threads: int = 1,
 ) -> tuple[GridCell, ...]:
-    """LOO metrics for every (radius, threshold) pair, sorted by (S, T)."""
+    """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
+
+    threads is accepted for compatibility and ignored: the grid is one
+    vectorised pass.
+    """
     if distances is None:
         distances = distance_matrix(cohort, metric)
     if radius_grid is None:
@@ -176,16 +214,13 @@ def evaluate_grid(
         raise ValueError("thresholds must be in (0, 1]")
     if int(cohort.labeled_mask.sum()) < 2:
         raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
-    p0 = base_rate(cohort)
-
-    def eval_radius(radius):
-        _, _, p_arr = _radius_pvalues(cohort, distances, p0, radius)
-        return tuple(
-            GridCell(radius, t, _cell_metrics(cohort, p_arr, t)) for t in thresholds
-        )
-
-    per_radius = thread_map(eval_radius, radii, threads)
-    return tuple(cell for group in per_radius for cell in group)
+    n_arr, k_arr = _neighborhood_counts(cohort, distances, np.array(radii))
+    p_arr = _tail_pvalues(n_arr, k_arr, base_rate(cohort))
+    return tuple(
+        GridCell(radius, t, _cell_metrics(cohort, p_arr[:, r], t))
+        for r, radius in enumerate(radii)
+        for t in thresholds
+    )
 
 
 def select_winner(cells, criterion) -> GridCell:
@@ -211,6 +246,7 @@ def grid_search(
     distances: DistanceMatrix | None = None,
     threads: int = 1,
 ) -> GridSearchReport:
+    """Evaluate the grid and select the criterion's winner; threads is ignored."""
     cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances, threads)
     winner = select_winner(cells, criterion)
     return GridSearchReport(grid=cells, winner=winner, criterion=criterion)
@@ -229,6 +265,7 @@ def precision_yield_frontier(
 
     The grid is evaluated once; each floor just re-selects a winner, so the
     feasible sets nest and yields are weakly monotone in the floor.
+    threads is accepted for compatibility and ignored.
     """
     cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances, threads)
     points = []

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from fill.errors import (
     InvalidArguments,
     ZeroVarianceBoth,
 )
-from fill.stats import bh_fdr, binom_sf, fisher_exact, welch_t
+from fill import stats
+from fill.stats import bh_fdr, binom_sf, binom_tail, fisher_exact, welch_t
 
 from oracles import (
     direct_binom_sf,
@@ -68,6 +71,66 @@ class TestBinomSf:
         assert binom_sf(k, n, p) == pytest.approx(
             direct_binom_sf(k, n, p), abs=1e-12
         )
+
+
+class TestBinomTail:
+    @given(
+        n=st.integers(0, 60),
+        p=st.floats(0.0, 1.0, allow_nan=False),
+    )
+    @settings(deadline=None)
+    def test_bounds_monotone_and_equal_to_binom_sf(self, n, p):
+        tail = binom_tail(n, p)
+        assert tail.shape == (n + 2,)
+        assert tail[0] == 1.0
+        assert tail[n + 1] == 0.0
+        assert (tail[:-1] >= tail[1:]).all()
+        assert [binom_sf(k, n, p) for k in range(n + 1)] == tail[: n + 1].tolist()
+
+    def test_invalid_arguments(self):
+        for n, p in ((-1, 0.5), (3, -0.1), (3, 1.5), (3, float("nan"))):
+            with pytest.raises(InvalidArguments):
+                binom_tail(n, p)
+
+    def test_caller_owns_its_table(self):
+        expected = binom_sf(3, 10, 0.3)
+        tail = binom_tail(10, 0.3)
+        tail[:] = 0.0
+        assert binom_sf(3, 10, 0.3) == expected
+        assert binom_tail(10, 0.3)[3] == expected
+
+
+class TestLogFactorials:
+    def test_small_call_after_large_never_shrinks(self):
+        large = stats._log_factorials(5000)
+        assert large.size > 5001
+        small = stats._log_factorials(10)
+        assert small.size >= large.size
+        assert stats._logfact.size >= large.size
+        assert small[10] == pytest.approx(math.lgamma(10), rel=1e-15)
+
+    def test_concurrent_calls_cover_their_n(self):
+        failures = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for n in rng.integers(0, 20_000, size=200).tolist():
+                table = stats._log_factorials(n)
+                if table.size <= n:
+                    failures.append((n, table.size))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestFisherExact:

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
-from fill.classify import Decision, FillModel, Hyperparameters, classify
+from fill.classify import Decision, FillModel, Hyperparameters, base_rate, classify
 from fill.cohort import Label
 from fill.distance import Metric, distance_matrix
 from fill.errors import EmptyGrid, NoFeasibleCell, TooFewLabeled
+from fill.synth import default_spec, synth_cohort_with_truth
 from fill.tune import (
+    _neighborhood_counts,
+    _tail_pvalues,
     CriterionA,
     CriterionB,
     GridCell,
@@ -233,3 +239,60 @@ class TestFrontier:
         )
         unconstrained = [p for p in points if p.min_precision == 0.0][0]
         assert unconstrained.true_positives == max_tp
+
+
+class TestCountKernel:
+    # Off round values, so no tail that is an exact small fraction (such as
+    # 1/2 or a base rate of 3/10) sits on a threshold where rounding decides.
+    THRESHOLDS = (0.0100003, 0.0500003, 0.2500003, 0.5000003)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        metric=st.sampled_from(list(Metric)),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_grid_and_loo_match_brute_force(self, seed, metric, data):
+        rng = np.random.default_rng(seed)
+        n_records = int(rng.integers(3, 16))
+        cohort = random_cohort(
+            rng, n_records, int(rng.integers(1, 6)),
+            n_unknown=int(rng.integers(0, n_records - 1)),
+            n_continuous=2 if metric is Metric.GOWER else 0,
+        )
+        dm = distance_matrix(cohort, metric)
+        # radii taken from the distances themselves exercise the closed ball's <= tie
+        values = sorted(set(dm.values.ravel().tolist()))
+        radii = data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=4))
+        cells = evaluate_grid(cohort, metric, radii, self.THRESHOLDS, distances=dm)
+        cache = {}
+        for cell in cells:
+            m = cell.metrics
+            got = (m.true_positives, m.false_positives, m.precision, m.yield_proportion)
+            assert got == brute_force_cell(
+                cohort, metric.value, cell.radius, cell.p_threshold, cache
+            )
+            pair = Hyperparameters(cell.radius, cell.p_threshold, metric)
+            assert loo_evaluate(cohort, pair, dm) == m
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_tail_decisions_match_scipy(self, seed):
+        """No (n, k) the default grid uses flips a decision against scipy.
+
+        The tail tables use a reverse cumulative sum, not an exactly rounded
+        sum (math.fsum); over the (n, k, p0) of the benchmark cohorts the two
+        differ by at most 1.9e-15 relative. Only a tail within 1e-9 relative
+        of a threshold may be decided either way.
+        """
+        cohort, _ = synth_cohort_with_truth(default_spec(1400, 600, 60, seed=seed))
+        dm = distance_matrix(cohort, Metric.JACCARD)
+        radii = np.array(default_radius_grid(cohort, dm))
+        n_arr, k_arr = _neighborhood_counts(cohort, dm, radii)
+        n_used, k_used = np.unique(np.stack([n_arr.ravel(), k_arr.ravel()]), axis=1)
+        p0 = base_rate(cohort)
+        ours = _tail_pvalues(n_used, k_used, p0)
+        reference = binom.sf(k_used - 1, n_used, p0)
+        for t in default_threshold_grid():
+            flipped = (ours < t) != (reference < t)
+            near = np.abs(reference - t) <= 1e-9 * t
+            assert not (flipped & ~near).any(), f"decision flips at T={t}"
