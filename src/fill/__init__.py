@@ -38,7 +38,6 @@ from .distance import (
     Metric,
     distance_matrix,
     distance_row,
-    export_distance_csv,
     gower,
     jaccard,
     manhattan,

@@ -6,7 +6,6 @@ of separation, and the penalty keeps the optimum finite instead of
 letting weights run away.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +177,3 @@ def evaluate_baseline(cohort: Cohort, model: LogisticModel, cutoff: float):
     precision = tp / (tp + fp) if tp + fp > 0 else None
     labels = [Label.POS if p else Label.NEG for p in is_pos]
     return accuracy, precision, c_statistic(scores, labels)
-
-
-def logit(p: float) -> float:
-    return math.log(p / (1.0 - p))

@@ -107,7 +107,7 @@ def classify(
     k = int((mask & cohort.pos_mask).sum())
     p = binom_sf(k, n, model.base_rate)
     decision = Decision.POS if p < model.hyperparameters.p_threshold else Decision.UNCLASSIFIED
-    neighbor_ids = tuple(np.asarray(cohort.ids, dtype=object)[mask])
+    neighbor_ids = tuple(cohort.ids[i] for i in np.flatnonzero(mask))
     return ClassificationResult(record_id, n, k, p, decision, neighbor_ids)
 
 

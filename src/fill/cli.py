@@ -25,7 +25,7 @@ from .cohort import (
     select_features,
     write_cohort,
 )
-from .distance import Metric, distance_matrix
+from .distance import DistanceMatrix, Metric, distance_matrix
 from .errors import (
     EmptyComplement,
     EmptyNeighborhood,
@@ -166,12 +166,18 @@ def load_input(cfg: RunConfig) -> Cohort:
     binary = [c for c in feature_cols if c not in roles["continuous"]]
     if binary + continuous != feature_cols:
         raise UsageError("continuous columns must come after all binary columns")
-    schema = FeatureSchema(
-        binary_names=tuple(binary),
-        continuous_names=tuple(continuous),
-        label_column=header[1],
-        id_column=header[0],
-    )
+    try:
+        schema = FeatureSchema(
+            binary_names=tuple(binary),
+            continuous_names=tuple(continuous),
+            label_column=header[1],
+            id_column=header[0],
+        )
+    except ValueError as exc:
+        hint = ""
+        if header[0].startswith("\ufeff"):
+            hint = " (the file starts with a UTF-8 byte-order mark)"
+        raise UsageError(f"bad header in {cfg.input}: {exc}{hint}") from None
     cohort = load_cohort(cfg.input, schema)
     if roles["ignore"]:
         keep = [c for c in feature_cols if c not in roles["ignore"]]
@@ -199,6 +205,14 @@ def _hyperparameters(cfg: RunConfig, metric: Metric) -> Hyperparameters:
         return Hyperparameters(radius=cfg.radius, p_threshold=cfg.pvalue, metric=metric)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _fixed_model_inputs(cfg: RunConfig) -> tuple[Cohort, Hyperparameters, Path, DistanceMatrix]:
+    """Shared start of the commands that run at a fixed S and T."""
+    cohort = load_input(cfg)
+    hp = _hyperparameters(cfg, _metric(cfg))
+    out = _out_dir(cfg)
+    return cohort, hp, out, distance_matrix(cohort, hp.metric)
 
 
 def cmd_tune(cfg: RunConfig) -> int:
@@ -242,17 +256,13 @@ def cmd_tune(cfg: RunConfig) -> int:
 
 
 def cmd_loo(cfg: RunConfig) -> int:
-    cohort = load_input(cfg)
-    metric = _metric(cfg)
-    hp = _hyperparameters(cfg, metric)
-    out = _out_dir(cfg)
-    distances = distance_matrix(cohort, metric)
+    cohort, hp, out, distances = _fixed_model_inputs(cfg)
     metrics = loo_evaluate(cohort, hp, distances)
     report.write_tree(
         {
             "radius": hp.radius,
             "p_threshold": hp.p_threshold,
-            "metric": metric.value,
+            "metric": hp.metric.value,
             "tp": metrics.true_positives,
             "fp": metrics.false_positives,
             "precision": metrics.precision,
@@ -269,11 +279,7 @@ def cmd_loo(cfg: RunConfig) -> int:
 
 
 def cmd_impute(cfg: RunConfig) -> int:
-    cohort = load_input(cfg)
-    metric = _metric(cfg)
-    hp = _hyperparameters(cfg, metric)
-    out = _out_dir(cfg)
-    distances = distance_matrix(cohort, metric)
+    cohort, hp, out, distances = _fixed_model_inputs(cfg)
     model = FillModel.fit(cohort, hp)
     results = impute_unknowns(cohort, model, distances)
     report.write_imputations(results, out / "imputations.csv")
@@ -281,7 +287,7 @@ def cmd_impute(cfg: RunConfig) -> int:
     n_labeled = len(model.labeled_ids)
     report.write_tree(
         {
-            "metric": metric.value,
+            "metric": hp.metric.value,
             "radius": hp.radius,
             "p_threshold": hp.p_threshold,
             "base_rate": model.base_rate,
@@ -297,11 +303,7 @@ def cmd_impute(cfg: RunConfig) -> int:
 
 
 def cmd_explain(cfg: RunConfig, record_ids) -> int:
-    cohort = load_input(cfg)
-    metric = _metric(cfg)
-    hp = _hyperparameters(cfg, metric)
-    out = _out_dir(cfg)
-    distances = distance_matrix(cohort, metric)
+    cohort, hp, out, distances = _fixed_model_inputs(cfg)
     model = FillModel.fit(cohort, hp)
 
     unique_ids = []

@@ -171,13 +171,6 @@ def aggregate_ef(measurements) -> Label:
     return Label.POS
 
 
-def base_counts(cohort: Cohort) -> tuple[int, int]:
-    """(#POS, #NEG) over labeled records."""
-    n_pos = int(cohort.pos_mask.sum())
-    n_lab = int(cohort.labeled_mask.sum())
-    return n_pos, n_lab - n_pos
-
-
 def prevalence_filter(cohort: Cohort, lo: float = 0.01, hi: float = 0.99) -> Cohort:
     """Drop binary features that are too rare or too common.
 

@@ -1,8 +1,10 @@
 """Pairwise dissimilarities: Jaccard, Manhattan, and Gower.
 
-All three are pure functions; the matrix builder accumulates per-feature
-terms in schema order so a matrix cell is bitwise identical to the scalar
-call for the same pair, regardless of how rows are scheduled.
+One kernel, `_block`, computes every distance: the scalar functions, the
+single row and the full matrix are 1 x 1, 1 x n and n x n calls into it.
+Binary counts come from one float64 matmul whose cells are exact integers,
+and the Gower terms are added in schema order, so a given pair gets the
+same bits from every entry point.
 """
 
 from dataclasses import dataclass
@@ -28,30 +30,63 @@ class Metric(Enum):
             raise ValueError(f"not a metric: {text!r}") from None
 
 
+def _block(bin_a, bin_b, metric: Metric, cont_a=None, cont_b=None, ranges=()):
+    """Distances from every row of block a to every row of block b.
+
+    Returns (values, empty): the float64 distances and the mask of pairs
+    whose total weight is zero, which are defined as 0. Binary features use
+    the asymmetric rule (0/0 positions are ignored); each continuous feature
+    with a positive span scores |a - b| / span and adds 1.0 to the weight.
+    """
+    a = np.asarray(bin_a, dtype=np.float64)
+    b = np.asarray(bin_b, dtype=np.float64)
+    # Each cell sums at most F products of 0/1, so every partial sum is an
+    # integer far below 2**53: BLAS gives the exact count in any summation
+    # order, bitwise equal to an integer matmul.
+    ones = a @ b.T
+    weight = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :]
+    weight -= ones  # union
+    score = np.subtract(weight, ones, out=ones)  # mismatch
+    if metric is Metric.MANHATTAN:
+        return score, np.zeros(score.shape, dtype=bool)
+    if len(ranges):
+        term = np.empty_like(score)
+        for j, (lo, hi) in enumerate(ranges):
+            span = hi - lo
+            if span > 0:
+                np.subtract.outer(cont_a[:, j], cont_b[:, j], out=term)
+                np.abs(term, out=term)
+                term /= span
+                score += term
+                weight += 1.0
+    empty = weight == 0.0
+    weight[empty] = 1.0  # score is 0 there, so the cell stays 0
+    score /= weight
+    return score, empty
+
+
+def _binary_pair(a, b):
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.shape != b.shape:
+        raise LengthMismatch(f"{a.shape} vs {b.shape}")
+    return a.reshape(1, -1), b.reshape(1, -1)
+
+
 def jaccard(a, b) -> float:
     """Jaccard dissimilarity for asymmetric binary vectors, in [0, 1].
 
     Positions where both vectors are 0 carry no information and are ignored.
     A pair with no informative position (both all-zero) is defined as 0.
     """
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"{a.shape} vs {b.shape}")
-    mismatch = int(np.sum(a != b))
-    union = mismatch + int(np.sum((a == 1) & (b == 1)))
-    if union == 0:
-        return 0.0
-    return float(mismatch) / float(union)
+    values, _ = _block(*_binary_pair(a, b), Metric.JACCARD)
+    return float(values[0, 0])
 
 
 def manhattan(a, b) -> float:
     """Mismatch count between binary vectors (Hamming, unnormalized)."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"{a.shape} vs {b.shape}")
-    return float(np.sum(a != b))
+    values, _ = _block(*_binary_pair(a, b), Metric.MANHATTAN)
+    return float(values[0, 0])
 
 
 def gower(a_binary, b_binary, a_continuous, b_continuous, ranges) -> float:
@@ -68,18 +103,15 @@ def gower(a_binary, b_binary, a_continuous, b_continuous, ranges) -> float:
         raise LengthMismatch("records do not share a schema")
     if len(ranges) != len(a_continuous):
         raise LengthMismatch("ranges do not cover the continuous features")
-    mismatch = int(np.sum(a_binary != b_binary))
-    union = mismatch + int(np.sum((a_binary == 1) & (b_binary == 1)))
-    score = float(mismatch)
-    weight = float(union)
-    for x, y, (lo, hi) in zip(a_continuous, b_continuous, ranges):
-        span = hi - lo
-        if span > 0:
-            score += abs(float(x) - float(y)) / span
-            weight += 1.0
-    if weight == 0.0:
-        return 0.0
-    return score / weight
+    values, _ = _block(
+        a_binary.reshape(1, -1),
+        b_binary.reshape(1, -1),
+        Metric.GOWER,
+        np.asarray(a_continuous, dtype=np.float64).reshape(1, -1),
+        np.asarray(b_continuous, dtype=np.float64).reshape(1, -1),
+        ranges,
+    )
+    return float(values[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,98 +137,38 @@ class DistanceMatrix:
     def id_index(self) -> dict:
         return {rid: i for i, rid in enumerate(self.ids)}
 
-    def row(self, record_id: str) -> np.ndarray:
-        return self.values[self.id_index[record_id]]
 
-
-def _pair_counts(binary):
-    """(mismatch, union) count matrices via exact integer matmuls."""
-    b = binary.astype(np.int64)
-    ones = b @ b.T
-    inv = 1 - b
-    mismatch = b @ inv.T + inv @ b.T
-    return mismatch, mismatch + ones
+def _cohort_block(cohort: Cohort, metric: Metric, rows):
+    """Distances from the records `rows` selects to every record."""
+    if metric is not Metric.GOWER and cohort.schema.continuous_names:
+        raise IncompatibleMetric(
+            f"{metric.value} requires a schema without continuous features"
+        )
+    return _block(
+        cohort.binary[rows],
+        cohort.binary,
+        metric,
+        cohort.continuous[rows],
+        cohort.continuous,
+        cohort.continuous_ranges,
+    )
 
 
 def distance_matrix(cohort: Cohort, metric: Metric) -> DistanceMatrix:
     """Materialize the full n x n matrix for the chosen metric."""
-    n_cont = len(cohort.schema.continuous_names)
-    if metric is not Metric.GOWER and n_cont > 0:
-        raise IncompatibleMetric(
-            f"{metric.value} requires a schema without continuous features"
-        )
-    n = len(cohort)
-    if n == 0:
-        return DistanceMatrix((), np.zeros((0, 0)), metric, 0)
-
-    mismatch, union = _pair_counts(cohort.binary)
-    degenerate = 0
-    if metric is Metric.MANHATTAN:
-        values = mismatch.astype(np.float64)
-    elif metric is Metric.JACCARD:
-        empty = union == 0
-        degenerate = int((np.triu(empty, k=1)).sum())
-        values = np.where(
-            empty, 0.0, mismatch.astype(np.float64) / np.where(empty, 1, union)
-        )
-    else:
-        score = mismatch.astype(np.float64)
-        weight = union.astype(np.float64)
-        for j, (lo, hi) in enumerate(cohort.continuous_ranges):
-            span = hi - lo
-            if span > 0:
-                col = cohort.continuous[:, j]
-                score = score + np.abs(col[:, None] - col[None, :]) / span
-                weight = weight + 1.0
-        unweighted = weight == 0.0
-        degenerate = int((np.triu(unweighted, k=1)).sum())
-        values = np.where(unweighted, 0.0, score / np.where(unweighted, 1.0, weight))
+    values, empty = _cohort_block(cohort, metric, slice(None))
     np.fill_diagonal(values, 0.0)
+    degenerate = int(np.triu(empty, k=1).sum())
     return DistanceMatrix(cohort.ids, values, metric, degenerate)
 
 
 def distance_row(cohort: Cohort, metric: Metric, index: int) -> np.ndarray:
     """One record's distances to every record, without the n x n matrix.
 
-    Fallback for cohorts too large to materialize; cell arithmetic is
-    identical to distance_matrix, so values agree bitwise.
+    Fallback for cohorts too large to materialize; values agree bitwise
+    with the matrix row.
     """
-    n_cont = len(cohort.schema.continuous_names)
-    if metric is not Metric.GOWER and n_cont > 0:
-        raise IncompatibleMetric(
-            f"{metric.value} requires a schema without continuous features"
-        )
-    b = cohort.binary.astype(np.int64)
-    own = b[index]
-    inv = 1 - b
-    mismatch = b @ (1 - own) + inv @ own
-    union = mismatch + b @ own
-    if metric is Metric.MANHATTAN:
-        values = mismatch.astype(np.float64)
-    elif metric is Metric.JACCARD:
-        empty = union == 0
-        values = np.where(
-            empty, 0.0, mismatch.astype(np.float64) / np.where(empty, 1, union)
-        )
-    else:
-        score = mismatch.astype(np.float64)
-        weight = union.astype(np.float64)
-        for j, (lo, hi) in enumerate(cohort.continuous_ranges):
-            span = hi - lo
-            if span > 0:
-                col = cohort.continuous[:, j]
-                score = score + np.abs(col - col[index]) / span
-                weight = weight + 1.0
-        unweighted = weight == 0.0
-        values = np.where(unweighted, 0.0, score / np.where(unweighted, 1.0, weight))
-    values[index] = 0.0
-    return values
-
-
-def export_distance_csv(matrix: DistanceMatrix, path) -> None:
-    """Diagnostic CSV dump: row/column headers are record ids, 17 signif. digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(matrix.ids) + "\n")
-        for i, rid in enumerate(matrix.ids):
-            cells = (format(v, ".17g") for v in matrix.values[i])
-            fh.write(rid + "," + ",".join(cells) + "\n")
+    values, _ = _cohort_block(cohort, metric, [index])
+    row = values[0]
+    row[index] = 0.0
+    return row

@@ -376,6 +376,28 @@ class TestUsageErrors:
     def test_missing_input(self, tmp_path):
         assert run(["tune", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "header, encoding, named",
+        [
+            ("record_id,label,f0", "utf-8-sig", "'\\ufeffrecord_id'"),
+            ("record_id,label,f 0", "utf-8", "'f 0'"),
+        ],
+        ids=["bom", "space"],
+    )
+    def test_bad_header_name_usage_error(self, tmp_path, capsys, header, encoding, named):
+        path = tmp_path / "h.csv"
+        path.write_text(header + "\np1,POS,1\n", encoding=encoding)
+        code = run(
+            [
+                "impute", "--input", str(path), "--metric", "jaccard",
+                "--radius", "0.5", "--pvalue", "0.05", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_interleaved_continuous_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(

@@ -7,7 +7,6 @@ from fill.distance import (
     Metric,
     distance_matrix,
     distance_row,
-    export_distance_csv,
     gower,
     jaccard,
     manhattan,
@@ -111,6 +110,12 @@ class TestDistanceMatrix:
         assert dm.values.shape == (1, 1)
         assert dm.values[0, 0] == 0.0
 
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_empty_cohort(self, metric):
+        dm = distance_matrix(make_cohort([], []), metric)
+        assert dm.values.shape == (0, 0)
+        assert dm.degenerate_pairs == 0
+
     def test_incompatible_metric(self):
         cohort = make_cohort(
             [[1]], ["POS"], continuous_rows=[[50.0]], continuous_names=("age",)
@@ -125,23 +130,38 @@ class TestDistanceMatrix:
     def test_matrix_matches_scalar_bitwise(self, metric):
         rng = np.random.default_rng(5)
         n_cont = 2 if metric is Metric.GOWER else 0
-        cohort = random_cohort(rng, 40, 6, n_unknown=5, n_continuous=n_cont)
+        base = random_cohort(rng, 40, 6, n_unknown=5, n_continuous=n_cont)
+        binary = base.binary.copy()
+        binary[:2] = 0  # an all-zero pair hits the zero-weight convention
+        continuous = base.continuous
+        names = base.schema.continuous_names
+        if metric is Metric.GOWER:
+            # a zero-span feature carries zero weight
+            continuous = np.column_stack([continuous, np.full(len(base), 3.0)])
+            names += ("flat",)
+        cohort = make_cohort(
+            binary.tolist(),
+            [lab.name for lab in base.labels],
+            continuous_rows=continuous,
+            continuous_names=names,
+        )
         dm = distance_matrix(cohort, metric)
         for i in range(len(cohort)):
             for j in range(len(cohort)):
+                a, b = cohort.binary[i], cohort.binary[j]
                 if metric is Metric.JACCARD:
-                    expected = jaccard(cohort.binary[i], cohort.binary[j])
+                    expected = jaccard(a, b)
+                    naive = naive_jaccard(a.tolist(), b.tolist())
                 elif metric is Metric.MANHATTAN:
-                    expected = manhattan(cohort.binary[i], cohort.binary[j])
+                    expected = manhattan(a, b)
+                    naive = naive_manhattan(a.tolist(), b.tolist())
                 else:
-                    expected = gower(
-                        cohort.binary[i],
-                        cohort.binary[j],
-                        cohort.continuous[i],
-                        cohort.continuous[j],
-                        cohort.continuous_ranges,
-                    )
+                    x, y = cohort.continuous[i], cohort.continuous[j]
+                    ranges = cohort.continuous_ranges
+                    expected = gower(a, b, x, y, ranges)
+                    naive = naive_gower(a.tolist(), b.tolist(), x.tolist(), y.tolist(), ranges)
                 assert dm.values[i, j] == expected
+                assert dm.values[i, j] == naive
         assert np.array_equal(dm.values, dm.values.T)
         assert np.all(np.diag(dm.values) == 0.0)
 
@@ -161,14 +181,3 @@ class TestDistanceMatrix:
         for i in (0, 7, 24):
             row = distance_row(cohort, metric, i)
             assert np.array_equal(row, dm.values[i])
-
-    def test_export_csv_format(self, tmp_path):
-        cohort = make_cohort([[1, 0], [0, 1]], ["POS", "NEG"], ids=["a", "b"])
-        dm = distance_matrix(cohort, Metric.JACCARD)
-        out = tmp_path / "dm.csv"
-        export_distance_csv(dm, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == ",a,b"
-        assert lines[1] == "a,0,1"
-        cells = lines[1].split(",")
-        assert float(cells[2]) == dm.values[0, 1]
