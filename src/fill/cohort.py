@@ -235,13 +235,19 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
     """Parse and validate a cohort file against the given schema.
 
     Strict by design: binary cells must be the literal characters 0/1,
-    labels must parse, continuous cells must be finite and non-empty
-    (labels are what this package imputes, never feature values).
+    labels must parse, continuous cells must be finite, non-empty plain
+    numbers without digit separators or surrounding blanks (labels are
+    what this package imputes, never feature values). Lines end at a line
+    feed, a carriage return or both; no other character breaks a line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise MalformedRow(1, "empty file, header expected")
+    if lines[0].startswith("\ufeff"):
+        raise MalformedRow(1, "file starts with a UTF-8 byte-order mark (U+FEFF); save it without one")
     header = lines[0].split(",")
     expected = schema.header()
     for i in range(max(len(header), len(expected))):
@@ -291,6 +297,11 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
                 raise MalformedRow(
                     line_no, f"empty continuous cell for {name!r} (feature cells are required)"
                 )
+            # float() would also read "1_0" as 10.0 and ignore surrounding blanks
+            if "_" in cell or cell != cell.strip():
+                raise MalformedRow(
+                    line_no, f"continuous cell for {name!r} is not a plain number: {cell!r}"
+                )
             try:
                 value = float(cell)
             except ValueError:
@@ -316,7 +327,12 @@ def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort file; exact inverse of load_cohort.
 
     Continuous cells use repr() so float64 values round-trip bit-for-bit.
+    Record ids must be non-empty and hold no comma or line break, the
+    characters that delimit cells and lines.
     """
+    for rid in cohort.ids:
+        if rid == "" or "," in rid or "\n" in rid or "\r" in rid:
+            raise ValueError(f"record id {rid!r} cannot be written as a cohort cell")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cohort.schema.header()) + "\n")
         for i, rid in enumerate(cohort.ids):

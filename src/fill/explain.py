@@ -10,18 +10,19 @@ explanation is its own comparison family.
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .classify import FillModel
 from .cohort import Cohort
 from .distance import DistanceMatrix
 from .errors import (
-    DegenerateTable,
     EmptyComplement,
     EmptyNeighborhood,
     InsufficientSample,
     UnknownRecord,
     ZeroVarianceBoth,
 )
-from .stats import bh_fdr, fisher_exact, welch_t
+from .stats import bh_fdr, fisher_exact, odds_ratio, welch_t
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -48,38 +49,32 @@ class NeighborhoodExplanation:
     significant: tuple[FeatureComparison, ...]
 
 
-def _corrected_odds(a, b, c, d) -> float:
-    if min(a, b, c, d) == 0:
-        return ((a + 0.5) * (d + 0.5)) / ((b + 0.5) * (c + 0.5))
-    return (a * d) / (b * c)
-
-
 def compare_groups(cohort: Cohort, neighbor_mask, complement_mask):
-    """Per-feature (effect, raw_p) contrasting two disjoint record sets.
+    """Per-feature (name, kind, effect, raw_p) contrasting two disjoint record sets.
 
     Binary features build the 2x2 table rows = present/absent, columns =
     neighbor/other, so an odds ratio above 1 means enrichment among
-    neighbors. Degenerate tables (a feature present or absent everywhere)
-    fall back to the corrected odds ratio with p = 1: a single attainable
-    table carries no association evidence. Continuous features where the
-    t-test is undefined (a singleton group, or two flat samples) likewise
-    report p = 1 with the plain mean difference.
+    neighbors. All binary tables are counted in one pass and tested with
+    one fisher_exact stack. Degenerate tables (a feature present or absent
+    everywhere) keep the Haldane-corrected odds ratio with p = 1: a single
+    attainable table carries no association evidence. Continuous features
+    where the t-test is undefined (a singleton group, or two flat samples)
+    likewise report p = 1 with the plain mean difference.
     """
-    results = []
     n_count = int(neighbor_mask.sum())
     c_count = int(complement_mask.sum())
-    for j, name in enumerate(cohort.schema.binary_names):
-        col = cohort.binary[:, j]
-        a = int(col[neighbor_mask].sum())
-        b = int(col[complement_mask].sum())
-        c = n_count - a
-        d = c_count - b
-        try:
-            res = fisher_exact([[a, b], [c, d]])
-            effect, raw_p = res.statistic, res.p_value
-        except DegenerateTable:
-            effect, raw_p = _corrected_odds(a, b, c, d), 1.0
-        results.append((name, FeatureKind.BINARY, effect, raw_p))
+    a = np.count_nonzero(cohort.binary[neighbor_mask], axis=0)
+    b = np.count_nonzero(cohort.binary[complement_mask], axis=0)
+    c = n_count - a
+    d = c_count - b
+    odds = odds_ratio(a, b, c, d)
+    pvals = np.ones(a.size)
+    live = (a + b > 0) & (c + d > 0) & (n_count > 0) & (c_count > 0)
+    pvals[live] = fisher_exact(np.stack([a, b, c, d], axis=1)[live].reshape(-1, 2, 2)).p_value
+    results = [
+        (name, FeatureKind.BINARY, effect, raw_p)
+        for name, effect, raw_p in zip(cohort.schema.binary_names, odds.tolist(), pvals.tolist())
+    ]
     for j, name in enumerate(cohort.schema.continuous_names):
         col = cohort.continuous[:, j]
         xs = col[neighbor_mask]

@@ -24,6 +24,9 @@ from .errors import (
 # count as ties in the two-sided Fisher sum; exact float equality would make
 # tie inclusion depend on rounding noise.
 _FISHER_REL_TOL = 1e-7
+_LOG1P_TOL = math.log1p(_FISHER_REL_TOL)
+# flattened cells (a, b, c, d) @ _MARGINS = (a + b, a + c, b + d, c + d)
+_MARGINS = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
 
 _logfact = gammaln(np.arange(256, dtype=np.float64))
 _logfact_lock = threading.Lock()
@@ -105,54 +108,89 @@ def binom_sf(k: int, n: int, p: float) -> float:
 
 
 def _log_hypergeom(x, c1, c2, r1, lf):
+    # lf[1:][m] == lf[m + 1] == log(m!): the view folds the index offset
+    f = lf[1:]
     return (
-        lf[c1 + 1] - lf[x + 1] - lf[c1 - x + 1]
-        + lf[c2 + 1] - lf[r1 - x + 1] - lf[c2 - r1 + x + 1]
-        - (lf[c1 + c2 + 1] - lf[r1 + 1] - lf[c1 + c2 - r1 + 1])
+        f[c1] - f[x] - f[c1 - x]
+        + f[c2] - f[r1 - x] - f[c2 - r1 + x]
+        - (f[c1 + c2] - f[r1] - f[c1 + c2 - r1])
     )
 
 
+def odds_ratio(a, b, c, d):
+    """Sample odds ratio (a*d)/(b*c) of count arrays, elementwise.
+
+    Where any cell is zero, 0.5 is added to every cell first
+    (Haldane-Anscombe), so the ratio stays finite and positive.
+    """
+    # with no zero cell the shift is 0.0, and a float product of integers
+    # is the correctly rounded exact product, so the plain ratio is the
+    # same double as an integer product followed by true division
+    shift = np.where(np.minimum(np.minimum(a, b), np.minimum(c, d)) == 0, 0.5, 0.0)
+    return ((a + shift) * (d + shift)) / ((b + shift) * (c + shift))
+
+
 def fisher_exact(table) -> TestResult:
-    """Two-sided Fisher exact test on a 2x2 count table.
+    """Two-sided Fisher exact test on one 2x2 table or a k x 2 x 2 stack.
 
     The p-value sums every table (margins fixed) whose hypergeometric
     probability is at most the observed table's, ties included up to a
-    1e-7 relative slack. The statistic is the sample odds ratio
-    (a*d)/(b*c); when any cell is zero, 0.5 is added to every cell first
-    (Haldane-Anscombe) so the ratio stays finite and positive.
+    1e-7 relative slack. The statistic is odds_ratio of the cells. A 2x2
+    table gives float fields; a stack gives float64 arrays of length k,
+    and each row equals the 2x2 call on that table bit for bit.
+    Every table needs non-negative integer cells and no zero margin.
     """
-    (a, b), (c, d) = table
-    cells = [a, b, c, d]
-    if any(int(v) != v or v < 0 for v in cells):
-        raise InvalidArguments(f"cells must be non-negative integers: {cells}")
-    a, b, c, d = (int(v) for v in cells)
-    if a + b == 0 or c + d == 0 or a + c == 0 or b + d == 0:
-        raise DegenerateTable(f"zero margin in {[[a, b], [c, d]]}")
+    try:
+        cells = np.asarray(table)
+    except ValueError:
+        raise InvalidArguments(f"not a 2x2 table or a k x 2 x 2 stack: {table!r}") from None
+    single = cells.shape == (2, 2)
+    if not single and (cells.ndim != 3 or cells.shape[1:] != (2, 2)):
+        raise InvalidArguments(f"expected shape (2, 2) or (k, 2, 2), got {cells.shape}")
+    kind = cells.dtype.kind
+    if (
+        kind not in "biuf"
+        or (kind == "f" and not (np.isfinite(cells) & (cells == np.trunc(cells))).all())
+        or (cells < 0).any()
+    ):
+        raise InvalidArguments(f"cells must be non-negative integers: {cells.tolist()}")
+    flat = cells.reshape(-1, 4).astype(np.int64)
+    margins = flat @ _MARGINS
+    if not margins.all():
+        i = int(margins.min(axis=1).argmin())
+        raise DegenerateTable(f"zero margin in {flat[i].reshape(2, 2).tolist()}")
 
     # canonical orientation: simultaneous row+column swap leaves both the
-    # odds ratio and the p-value invariant, so pick one representative and
-    # the symmetry holds exactly in floats too
-    if (d, c, b, a) < (a, b, c, d):
-        a, b, c, d = d, c, b, a
+    # odds ratio and the p-value invariant, so pick one representative,
+    # (d, c, b, a) < (a, b, c, d) in tuple order, and the symmetry holds
+    # exactly in floats too
+    a, b, c, d = flat.T
+    swap = (d < a) | ((d == a) & (c < b))
+    a, b, c, d = np.where(swap[:, None], flat[:, ::-1], flat).T
+    odds = odds_ratio(a, b, c, d)
 
-    if min(a, b, c, d) == 0:
-        odds = ((a + 0.5) * (d + 0.5)) / ((b + 0.5) * (c + 0.5))
-    else:
-        odds = (a * d) / (b * c)
-
-    r1, c1, c2 = a + b, a + c, b + d
-    n_total = a + b + c + d
-    lf = _log_factorials(n_total + 1)
-    lo = max(0, r1 - c2)
-    hi = min(r1, c1)
-    x = np.arange(lo, hi + 1)
-    log_probs = _log_hypergeom(x, c1, c2, r1, lf)
-    log_obs = float(_log_hypergeom(np.array([a]), c1, c2, r1, lf)[0])
-    include = log_probs <= log_obs + math.log1p(_FISHER_REL_TOL)
-    chosen = log_probs[include]
-    peak = float(chosen.max())
-    p = math.exp(peak + math.log(float(np.exp(chosen - peak).sum())))
-    return TestResult(statistic=float(odds), p_value=min(1.0, p))
+    # each table's support lo..hi, padded to the widest one; padded cells
+    # are clamped to hi for a safe index and excluded below. The swap
+    # reverses (a, b, c, d), and with it the margins (r1, c1, c2, r2).
+    margins = np.where(swap[:, None], margins[:, ::-1], margins)
+    r1, c1, c2 = margins[:, 0:1], margins[:, 1:2], margins[:, 2:3]
+    lo = np.maximum(0, r1 - c2)
+    span = np.minimum(r1, c1) - lo
+    steps = np.arange(int(span.max(initial=0)) + 1)
+    lf = _log_factorials(int((c1 + c2).max(initial=0)) + 1)
+    log_probs = _log_hypergeom(lo + np.minimum(steps, span), c1, c2, r1, lf)
+    log_obs = log_probs[np.arange(a.size), a - lo[:, 0]][:, None]
+    include = (steps <= span) & (log_probs <= log_obs + _LOG1P_TOL)
+    # excluded cells become -inf before exp, so they add exact zeros
+    log_probs = np.where(include, log_probs, -np.inf)
+    peak = log_probs.max(axis=1, keepdims=True)
+    # a left-to-right running sum: trailing padding adds exact zeros, so a
+    # table's p-value does not depend on its stack or on the stack's width
+    total = np.cumsum(np.exp(log_probs - peak), axis=1)[:, -1:]
+    p = np.minimum(1.0, np.exp(peak + np.log(total)))[:, 0]
+    if single:
+        return TestResult(statistic=float(odds[0]), p_value=float(p[0]))
+    return TestResult(statistic=odds, p_value=p)
 
 
 def welch_t(xs, ys) -> TestResult:

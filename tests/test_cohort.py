@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fill.cohort import (
+    Cohort,
     FeatureSchema,
     Label,
     aggregate_ef,
@@ -128,6 +129,25 @@ class TestLoadCohort:
         with pytest.raises(MalformedRow):
             load_cohort(path, SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["1_0", " 2", "2 ", " 2 ", "\t2"])
+    def test_lenient_float_spelling_rejected(self, tmp_path, cell):
+        path = write_lines(
+            tmp_path,
+            ["record_id,label,b0,b1,age", f"p1,POS,1,0,{cell}"],
+        )
+        with pytest.raises(MalformedRow) as err:
+            load_cohort(path, SCHEMA)
+        assert err.value.line_no == 2
+        assert "'age'" in err.value.reason
+
+    def test_byte_order_mark_rejected(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("record_id,label,b0,b1,age\np1,POS,1,0,5.0\n", encoding="utf-8-sig")
+        with pytest.raises(MalformedRow) as err:
+            load_cohort(path, SCHEMA)
+        assert err.value.line_no == 1
+        assert "byte-order mark" in err.value.reason
+
 
 class TestRoundTrip:
     def test_small_round_trip(self, tmp_path, tiny_mixed_cohort):
@@ -150,6 +170,41 @@ class TestRoundTrip:
         path = tmp_path / f"c{seed}.csv"
         write_cohort(cohort, path)
         assert load_cohort(path, cohort.schema) == cohort
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, data):
+        # any id the format can hold: no comma or line break, which delimit
+        # cells and lines, plus ids that look like other cell kinds
+        id_text = st.text(
+            st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+            min_size=1,
+        )
+        edge_ids = st.sampled_from(
+            [" ", " p1 ", "0", "1e5", "nan", "POS", "\ufeffid", "\x85", "\u2028", "\x0c", "é" * 40]
+        )
+        ids = data.draw(st.lists(st.one_of(id_text, edge_ids), max_size=8, unique=True))
+        n = len(ids)
+        extreme = st.sampled_from(
+            [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0, 0.1]
+        )
+        values = st.one_of(extreme, st.floats(allow_nan=False, allow_infinity=False))
+        continuous = data.draw(st.lists(values, min_size=2 * n, max_size=2 * n))
+        binary = data.draw(st.lists(st.integers(0, 1), min_size=3 * n, max_size=3 * n))
+        labels = data.draw(st.lists(st.sampled_from(list(Label)), min_size=n, max_size=n))
+        schema = FeatureSchema(("b0", "b1", "b2"), ("c0", "c1"))
+        cohort = Cohort.make(schema, ids, binary, continuous, labels)
+        path = tmp_path_factory.mktemp("round_trip") / "c.csv"
+        write_cohort(cohort, path)
+        loaded = load_cohort(path, schema)
+        assert loaded == cohort
+        assert loaded.continuous.tobytes() == cohort.continuous.tobytes()
+
+    @pytest.mark.parametrize("rid", ["", "a,b", "a\nb", "a\rb"])
+    def test_unwritable_id_rejected(self, tmp_path, rid):
+        cohort = make_cohort([[1]], ["POS"], ids=[rid])
+        with pytest.raises(ValueError, match="cannot be written"):
+            write_cohort(cohort, tmp_path / "c.csv")
 
     def test_ten_thousand_record_round_trip(self, tmp_path):
         rng = np.random.default_rng(10_000)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from fill.classify import FillModel, Hyperparameters
-from fill.cohort import Label
+from fill.cohort import Cohort, FeatureSchema, Label, prevalence_filter
 from fill.distance import Metric, distance_matrix
 from fill.errors import EmptyComplement, EmptyNeighborhood
 from fill.explain import (
@@ -15,6 +16,7 @@ from fill.explain import (
     NeighborhoodExplanation,
 )
 from fill.stats import fisher_exact
+from fill.synth import default_spec, synth_cohort_with_truth
 
 from conftest import make_cohort, random_cohort
 
@@ -147,6 +149,73 @@ class TestExplainRecord:
         model = FillModel.fit(cohort, hp(1.0, 0.05, Metric.GOWER))
         with pytest.raises(EmptyComplement):
             explain_record(cohort.ids[0], cohort, model, dm)
+
+
+def serve_like_cohort(seed):
+    """A small Gower cohort shaped like the serving benchmark's: 60 binary
+    features after the prevalence filter and 3 continuous columns."""
+    base, _ = synth_cohort_with_truth(default_spec(250, 150, 60, seed=seed))
+    continuous = np.random.default_rng(seed).normal(50.0, 15.0, size=(len(base), 3))
+    schema = FeatureSchema(base.schema.binary_names, ("c00", "c01", "c02"))
+    return prevalence_filter(Cohort.make(schema, base.ids, base.binary, continuous, base.labels))
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_binary_contrast_matches_scipy_without_flips(seed):
+    """Explanations of 12 records checked against independent references.
+
+    The 2x2 tables are recounted from the masks. Every binary raw_p is
+    within 1e-9 relative of scipy.stats.fisher_exact, or exactly 1 for a
+    table with a zero margin. The effect is bitwise equal to the plain odds
+    (a*d)/(b*c), or to the Haldane odds where a cell is zero. The
+    significant set (adjusted p < 0.05) equals the one that
+    scipy.stats.false_discovery_control gives from scipy's binary p-values
+    and the explanation's own Welch p-values.
+    """
+    cohort = serve_like_cohort(seed)
+    dm = distance_matrix(cohort, Metric.GOWER)
+    model = FillModel.fit(cohort, hp(0.51, 1e-3, Metric.GOWER))
+    binary_names = cohort.schema.binary_names
+    explained = significant = 0
+    for idx, rid in enumerate(cohort.ids):
+        try:
+            expl = explain_record(rid, cohort, model, dm)
+        except (EmptyNeighborhood, EmptyComplement):
+            continue
+        labeled = cohort.labeled_mask.copy()
+        labeled[idx] = False
+        neighbor = labeled & (dm.values[idx] <= 0.51)
+        complement = labeled & ~neighbor
+        reference = []
+        for j, comp in enumerate(expl.comparisons):
+            if comp.kind is FeatureKind.CONTINUOUS:
+                reference.append(comp.raw_p)
+                continue
+            assert comp.feature == binary_names[j]
+            col = cohort.binary[:, j].astype(int)
+            a, b = int(col[neighbor].sum()), int(col[complement].sum())
+            c, d = int(neighbor.sum()) - a, int(complement.sum()) - b
+            if min(a, b, c, d) == 0:
+                assert comp.effect == ((a + 0.5) * (d + 0.5)) / ((b + 0.5) * (c + 0.5))
+            else:
+                assert comp.effect == (a * d) / (b * c)
+            if a + b == 0 or c + d == 0:
+                expected = 1.0
+            else:
+                expected = float(scipy.stats.fisher_exact([[a, b], [c, d]]).pvalue)
+            assert comp.raw_p == pytest.approx(expected, rel=1e-9, abs=0.0)
+            reference.append(expected)
+        adjusted = scipy.stats.false_discovery_control(reference, method="bh")
+        expected_significant = {
+            comp.feature for comp, adj in zip(expl.comparisons, adjusted) if adj < 0.05
+        }
+        assert {comp.feature for comp in expl.significant} == expected_significant
+        significant += len(expected_significant)
+        explained += 1
+        if explained == 12:
+            break
+    assert explained == 12
+    assert significant > 50
 
 
 class TestTopFeatures:

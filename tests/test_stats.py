@@ -187,6 +187,62 @@ class TestFisherExact:
         assert first.statistic == swapped.statistic
 
 
+def _has_zero_margin(t):
+    a, b, c, d = t
+    return a + b == 0 or c + d == 0 or a + c == 0 or b + d == 0
+
+
+# small cells for zero cells and ties, large ones for wide supports
+_table = st.tuples(*[st.one_of(st.integers(0, 6), st.integers(0, 400))] * 4).filter(
+    lambda t: not _has_zero_margin(t)
+)
+
+
+class TestFisherStack:
+    @given(st.lists(_table, min_size=1, max_size=10))
+    @settings(deadline=None)
+    def test_rows_equal_single_table_calls(self, tables):
+        # each table also enters in its swapped orientation (d, c, b, a)
+        tables = tables + [t[::-1] for t in tables]
+        res = fisher_exact(np.array(tables).reshape(-1, 2, 2))
+        assert res.statistic.dtype == res.p_value.dtype == np.float64
+        assert res.p_value.shape == res.statistic.shape == (len(tables),)
+        for (a, b, c, d), odds, p in zip(tables, res.statistic, res.p_value):
+            single = fisher_exact([[a, b], [c, d]])
+            assert type(single.p_value) is float and type(single.statistic) is float
+            assert single.p_value == p
+            assert single.statistic == odds
+
+    def test_empty_stack(self):
+        res = fisher_exact(np.zeros((0, 2, 2), dtype=np.int64))
+        assert res.statistic.shape == res.p_value.shape == (0,)
+
+    def test_one_degenerate_table_raises(self):
+        with pytest.raises(DegenerateTable):
+            fisher_exact([[[3, 1], [1, 3]], [[0, 0], [3, 4]], [[2, 5], [1, 7]]])
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [1, 2, 3, 4],
+            [[1, 2, 3], [4, 5, 6]],
+            np.ones((2, 2, 2, 2), dtype=int),
+            [[1, 2], [3]],
+            5,
+            [[[1, 2], [3, 4]], [[1.5, 2], [3, 4]]],
+            [[[1, 2], [3, 4]], [[1, 2], [3, -4]]],
+            [[1, 2], [3, float("nan")]],
+            [[1, 2], [3, float("inf")]],
+            [["1", "2"], ["3", "4"]],
+        ],
+        ids=["flat", "2x3", "4d", "ragged", "scalar", "non-integer",
+             "negative", "nan", "inf", "strings"],
+    )
+    def test_invalid_arguments(self, table):
+        with pytest.raises(InvalidArguments):
+            fisher_exact(table)
+
+
 class TestWelchT:
     def test_identical_samples(self):
         res = welch_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
