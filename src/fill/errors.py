@@ -95,6 +95,10 @@ class EmptyGrid(FillError):
     pass
 
 
+class InvalidGrid(FillError, ValueError):
+    """A radius below 0 or NaN, or a threshold outside (0, 1]."""
+
+
 class NoFeasibleCell(FillError):
     """No grid cell satisfies the criterion; carries the evaluated grid."""
 

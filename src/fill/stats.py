@@ -57,32 +57,71 @@ class TestResult:
 def binom_tail(n: int, p: float) -> np.ndarray:
     """t[k] = P(X >= k) for X ~ Binomial(n, p) and k = 0, ..., n + 1.
 
-    Summed from exact log-binomial coefficients with the log-sum-exp
-    pattern: the shift is taken over the full term range and the tail is
-    one reverse cumulative sum. A running sum of non-negative terms never
-    decreases, so t is exactly non-increasing in k; t[0] is 1 and t[n + 1]
-    is 0 by definition.
+    t is exactly non-increasing in k, t[0] is 1 and t[n + 1] is 0. This is
+    the one-row case of binom_tails, kept 1-D because small 2-D numpy
+    operations cost more per call.
     """
     n = int(n)
     if n < 0 or not (0.0 <= p <= 1.0) or not math.isfinite(p):
         raise InvalidArguments(f"binom_tail(n={n}, p={p})")
-    tail = np.empty(n + 2, dtype=np.float64)
-    tail[n + 1] = 0.0
-    head = tail[: n + 1]
+    return _tails(n, n, float(p))
+
+
+def binom_tails(sizes, p: float) -> np.ndarray:
+    """Row i is binom_tail(sizes[i], p), zero-padded to max(sizes) + 2 entries.
+
+    All rows are built in one pass, so the caller bounds the memory by the
+    number of sizes it passes at once.
+    """
+    sizes = np.asarray(sizes)
+    if (
+        sizes.ndim != 1
+        or (sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 0))
+        or not (0.0 <= p <= 1.0)
+        or not math.isfinite(p)
+    ):
+        raise InvalidArguments(f"binom_tails(sizes={sizes!r}, p={p})")
+    return _tails(sizes.astype(np.int64)[:, None], int(sizes.max(initial=-1)), float(p))
+
+
+def _tails(n, n_max, p):
+    # n is an int (one 1-D table) or a column of sizes (a padded stack).
+    # Summed from exact log-binomial coefficients with the log-sum-exp
+    # pattern: a row's shift is its largest term and its tail is one
+    # reverse cumulative sum. A running sum of non-negative terms never
+    # decreases, so a row is exactly non-increasing in k.
+    stack = not isinstance(n, int)
+    tails = np.zeros((n.shape[0], n_max + 2) if stack else n_max + 2)
+    head = tails[..., :-1]
+    j = np.arange(n_max + 1)
     if p == 0.0 or p == 1.0:
-        head.fill(p)
-    else:
-        lf = _log_factorials(n + 1)
-        j = np.arange(0, n + 1)
-        # log C(n, j) = log n! - log j! - log (n - j)!; the slices are lf[j + 1], lf[n - j + 1]
-        log_coef = lf[n + 1] - lf[1 : n + 2] - lf[n + 1 : 0 : -1]
-        log_terms = log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
-        shift = float(log_terms.max())
-        np.cumsum(np.exp(log_terms - shift)[::-1], out=head[::-1])
-        head *= math.exp(shift)
+        np.multiply(j <= n, p, out=head)
+    elif n_max >= 0:
+        lf = _log_factorials(n_max + 1)
+        # log C(n, j) = log n! - log j! - log (n - j)!
+        log_rest = lf[n + 1 - j] if stack else lf[n + 1 : 0 : -1]
+        log_terms = (
+            lf[n + 1] - lf[1 : n_max + 2] - log_rest
+            + j * math.log(p) + (n - j) * math.log1p(-p)
+        )
+        if stack:
+            # a padded j > n wraps the index above to a finite value: it is
+            # left out of the shift and its term is an exact 0, so a row is
+            # bitwise the same in any stack
+            valid = j <= n
+            shifts = log_terms.max(axis=1, keepdims=True, initial=-np.inf, where=valid)
+            terms = np.exp(log_terms - shifts, out=np.zeros_like(log_terms), where=valid)
+            # math.exp, not np.exp: the two can differ in the last place
+            scale = np.fromiter(map(math.exp, shifts.ravel().tolist()), np.float64)[:, None]
+        else:
+            shift = float(log_terms.max())
+            terms = np.exp(log_terms - shift)
+            scale = math.exp(shift)
+        np.cumsum(terms[..., ::-1], axis=-1, out=head[..., ::-1])
+        head *= scale
         np.minimum(head, 1.0, out=head)
-    tail[0] = 1.0
-    return tail
+    tails[..., 0] = 1.0
+    return tails
 
 
 @functools.lru_cache(maxsize=256)
@@ -126,7 +165,7 @@ def odds_ratio(a, b, c, d):
     # with no zero cell the shift is 0.0, and a float product of integers
     # is the correctly rounded exact product, so the plain ratio is the
     # same double as an integer product followed by true division
-    shift = np.where(np.minimum(np.minimum(a, b), np.minimum(c, d)) == 0, 0.5, 0.0)
+    shift = 0.5 * (np.minimum(np.minimum(a, b), np.minimum(c, d)) == 0)
     return ((a + shift) * (d + shift)) / ((b + shift) * (c + shift))
 
 
@@ -155,24 +194,23 @@ def fisher_exact(table) -> TestResult:
     ):
         raise InvalidArguments(f"cells must be non-negative integers: {cells.tolist()}")
     flat = cells.reshape(-1, 4).astype(np.int64)
-    margins = flat @ _MARGINS
-    if not margins.all():
-        i = int(margins.min(axis=1).argmin())
-        raise DegenerateTable(f"zero margin in {flat[i].reshape(2, 2).tolist()}")
 
     # canonical orientation: simultaneous row+column swap leaves both the
     # odds ratio and the p-value invariant, so pick one representative,
     # (d, c, b, a) < (a, b, c, d) in tuple order, and the symmetry holds
-    # exactly in floats too
+    # exactly in floats too. The swap reverses the margins with the cells.
     a, b, c, d = flat.T
     swap = (d < a) | ((d == a) & (c < b))
-    a, b, c, d = np.where(swap[:, None], flat[:, ::-1], flat).T
+    oriented = np.where(swap[:, None], flat[:, ::-1], flat)
+    margins = oriented @ _MARGINS
+    if not margins.all():
+        i = int(margins.min(axis=1).argmin())
+        raise DegenerateTable(f"zero margin in {flat[i].reshape(2, 2).tolist()}")
+    a, b, c, d = oriented.T
     odds = odds_ratio(a, b, c, d)
 
     # each table's support lo..hi, padded to the widest one; padded cells
-    # are clamped to hi for a safe index and excluded below. The swap
-    # reverses (a, b, c, d), and with it the margins (r1, c1, c2, r2).
-    margins = np.where(swap[:, None], margins[:, ::-1], margins)
+    # are clamped to hi for a safe index and left out of the sum
     r1, c1, c2 = margins[:, 0:1], margins[:, 1:2], margins[:, 2:3]
     lo = np.maximum(0, r1 - c2)
     span = np.minimum(r1, c1) - lo
@@ -181,12 +219,11 @@ def fisher_exact(table) -> TestResult:
     log_probs = _log_hypergeom(lo + np.minimum(steps, span), c1, c2, r1, lf)
     log_obs = log_probs[np.arange(a.size), a - lo[:, 0]][:, None]
     include = (steps <= span) & (log_probs <= log_obs + _LOG1P_TOL)
-    # excluded cells become -inf before exp, so they add exact zeros
-    log_probs = np.where(include, log_probs, -np.inf)
-    peak = log_probs.max(axis=1, keepdims=True)
-    # a left-to-right running sum: trailing padding adds exact zeros, so a
+    peak = log_probs.max(axis=1, keepdims=True, initial=-np.inf, where=include)
+    # left-out cells add exact zeros to a left-to-right running sum, so a
     # table's p-value does not depend on its stack or on the stack's width
-    total = np.cumsum(np.exp(log_probs - peak), axis=1)[:, -1:]
+    terms = np.exp(log_probs - peak, out=np.zeros_like(log_probs), where=include)
+    total = np.cumsum(terms, axis=1)[:, -1:]
     p = np.minimum(1.0, np.exp(peak + np.log(total)))[:, 0]
     if single:
         return TestResult(statistic=float(odds[0]), p_value=float(p[0]))

@@ -13,13 +13,14 @@ import numpy as np
 from .classify import Hyperparameters, base_rate
 from .cohort import Cohort
 from .distance import DistanceMatrix, Metric, distance_matrix
-from .errors import EmptyGrid, NoFeasibleCell, TooFewLabeled
+from .errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
 # binom_sf is not called here; it stays importable as fill.tune.binom_sf
 # because perfbench/tracing.py wraps it and perfbench/test_check.py deletes it.
-from .stats import binom_sf, binom_tail  # noqa: F401
+from .stats import binom_sf, binom_tails  # noqa: F401
 
-# Distance rows bucketed per pass: the count kernel's temporaries hold
-# _ROW_BLOCK x n_labeled entries instead of n x n_labeled.
+# Rows per pass of the count, tail and decision kernels: their temporaries
+# hold _ROW_BLOCK x n_labeled, _ROW_BLOCK x (max size + 2) and
+# _ROW_BLOCK x radii x thresholds entries.
 _ROW_BLOCK = 256
 
 
@@ -81,83 +82,105 @@ class FrontierPoint:
 def _neighborhood_counts(cohort, distances, radii):
     """N[i, r] labeled and K[i, r] POS records within radii[r] of record i.
 
-    radii must be sorted ascending. Each labeled neighbor goes to the
-    first radius whose closed ball holds it, or to the never bucket
-    len(radii); the record itself always goes to the never bucket. A
-    cumulative sum over the per-bucket counts then gives the counts at
-    every radius from one pass over the distances.
+    radii must be sorted ascending. Each row block's labeled and POS
+    distance columns are sorted, then one searchsorted per row counts the
+    closed ball at every radius. The record's own entry is NaN: NaN sorts
+    last and is never <= a radius, so the record stays out of its own ball
+    even at radius inf.
     """
     labeled = np.flatnonzero(cohort.labeled_mask)
-    pos = cohort.pos_mask[labeled]
+    pos = np.flatnonzero(cohort.pos_mask[labeled])
     column_of = np.full(len(cohort), -1)
     column_of[labeled] = np.arange(labeled.size)
-    n_buckets = len(radii) + 1
     n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
     k_arr = np.empty_like(n_arr)
     for start in range(0, len(cohort), _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, len(cohort))
-        bucket = np.searchsorted(radii, distances.values[start:stop, labeled], side="left")
+        block = distances.values[start:stop, labeled]
         own = np.flatnonzero(column_of[start:stop] >= 0)
-        bucket[own, column_of[start + own]] = len(radii)
-        # one bincount per block: row r's buckets are shifted to r * n_buckets
-        bucket += np.arange(0, (stop - start) * n_buckets, n_buckets)[:, None]
-        for out, cols in ((n_arr, bucket), (k_arr, bucket[:, pos])):
-            counts = np.bincount(cols.ravel(), minlength=(stop - start) * n_buckets)
-            out[start:stop] = counts.reshape(-1, n_buckets)[:, :-1].cumsum(axis=1)
+        block[own, column_of[start + own]] = np.nan
+        for out, columns in ((n_arr, block), (k_arr, block[:, pos])):
+            columns.sort(axis=1)
+            for i, row in enumerate(columns, start):
+                out[i] = row.searchsorted(radii, "right")
     return n_arr, k_arr
 
 
-def _tail_pvalues(n_arr, k_arr, p0):
-    """P(X >= K) for X ~ Binomial(N, p0), elementwise.
+def _decision_thresholds(sizes, p0, thresholds):
+    """k*[n, t]: the least k with P(X >= k) < thresholds[t], X ~ Binomial(n, p0).
 
-    One tail table per distinct N, each built and read while it is the
-    only one alive: all tables together would hold O(n_labeled**2) floats.
+    Rows are indexed by neighborhood size and filled for the given sizes
+    only. Every tail table is exactly non-increasing in k, so
+    P(X >= k) < T holds iff k >= k*(n, T), and k* is the number of table
+    entries >= T. Tables are built _ROW_BLOCK sizes at a time.
     """
-    flat_n = n_arr.ravel()
-    flat_k = k_arr.ravel()
-    order = np.argsort(flat_n)
-    sizes, starts = np.unique(flat_n[order], return_index=True)
-    ends = np.append(starts[1:], flat_n.size)
-    p_arr = np.empty(flat_n.size, dtype=np.float64)
-    for n, lo, hi in zip(sizes.tolist(), starts.tolist(), ends.tolist()):
-        at = order[lo:hi]
-        p_arr[at] = binom_tail(n, p0)[flat_k[at]]
-    return p_arr.reshape(n_arr.shape)
+    k_star = np.zeros((int(sizes.max()) + 1, len(thresholds)), dtype=np.int64)
+    for start in range(0, sizes.size, _ROW_BLOCK):
+        block = sizes[start : start + _ROW_BLOCK]
+        tails = binom_tails(block, p0)
+        for t, threshold in enumerate(thresholds):
+            k_star[block, t] = np.count_nonzero(tails >= threshold, axis=1)
+    return k_star
 
 
-def _cell_metrics(cohort, p_arr, threshold) -> LooMetrics:
-    decided = p_arr < threshold
-    labeled = cohort.labeled_mask
-    pos = cohort.pos_mask
-    tp = int((decided & pos).sum())
-    fp = int((decided & labeled & ~pos).sum())
-    n_labeled = int(labeled.sum())
-    newly = int((decided & ~labeled).sum())
+def _tally(decided, pos, labeled):
+    """(tp, fp, newly POS) summed over the rows (records) of decided."""
+    return (
+        np.count_nonzero(decided[pos], axis=0),
+        np.count_nonzero(decided[labeled & ~pos], axis=0),
+        np.count_nonzero(decided[~labeled], axis=0),
+    )
+
+
+def _loo_metrics(tp: int, fp: int, newly: int, n_labeled: int) -> LooMetrics:
     precision = tp / (tp + fp) if tp + fp > 0 else None
     return LooMetrics(tp, fp, precision, newly / n_labeled)
+
+
+def _grid_metrics(cohort, distances, radii, thresholds) -> list[LooMetrics]:
+    """Leave-one-out metrics of every (radius, threshold), radius-major.
+
+    Each labeled record is classified with itself removed from the
+    evidence; the base rate stays fixed at the full labeled pool's value.
+    UNKNOWN records are classified under the same pair to obtain the
+    yield. Decisions are made in count space, one row block at a time.
+    """
+    n_labeled = int(cohort.labeled_mask.sum())
+    if n_labeled < 2:
+        raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
+    thresholds = np.array(thresholds)
+    n_arr, k_arr = _neighborhood_counts(cohort, distances, np.array(radii))
+    k_star = _decision_thresholds(np.unique(n_arr), base_rate(cohort), thresholds)
+    counts = np.zeros((3, len(radii), thresholds.size), dtype=np.int64)
+    for start in range(0, len(cohort), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        decided = k_arr[rows, :, None] >= k_star[n_arr[rows]]
+        counts += _tally(decided, cohort.pos_mask[rows], cohort.labeled_mask[rows])
+    return [
+        _loo_metrics(tp, fp, newly, n_labeled)
+        for tp, fp, newly in zip(*(c.ravel().tolist() for c in counts))
+    ]
 
 
 def loo_evaluate(
     cohort: Cohort, hp: Hyperparameters, distances: DistanceMatrix
 ) -> LooMetrics:
-    """Leave-one-out counts for one hyperparameter pair.
-
-    Each labeled record is classified with itself removed from the
-    evidence; the base rate stays fixed at the full labeled pool's value.
-    UNKNOWN records are classified under the same pair to obtain the yield.
-    """
-    if int(cohort.labeled_mask.sum()) < 2:
-        raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
-    n_arr, k_arr = _neighborhood_counts(cohort, distances, np.array([hp.radius]))
-    p_arr = _tail_pvalues(n_arr, k_arr, base_rate(cohort))
-    return _cell_metrics(cohort, p_arr[:, 0], hp.p_threshold)
+    """Leave-one-out counts for one hyperparameter pair: the 1 x 1 grid."""
+    return _grid_metrics(cohort, distances, (hp.radius,), (hp.p_threshold,))[0]
 
 
 def default_radius_grid(cohort: Cohort, distances: DistanceMatrix) -> tuple[float, ...]:
     """41 evenly spaced quantiles (0%, 2.5%, ..., 100%) of labeled-pair distances."""
     labeled = np.flatnonzero(cohort.labeled_mask)
-    sub = distances.values[np.ix_(labeled, labeled)]
-    pairs = sub[np.triu_indices(len(labeled), k=1)]
+    # the upper triangle in triu_indices order, _ROW_BLOCK rows at a time
+    pairs = np.empty(labeled.size * (labeled.size - 1) // 2)
+    at = 0
+    for start in range(0, labeled.size, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, labeled.size))
+        block = distances.values[np.ix_(labeled[rows], labeled)]
+        upper = block[np.arange(labeled.size) > rows[:, None]]
+        pairs[at : at + upper.size] = upper
+        at += upper.size
     if pairs.size == 0:
         raise TooFewLabeled("no labeled pairs to build a radius grid from")
     qs = np.quantile(pairs, np.linspace(0.0, 1.0, 41))
@@ -208,19 +231,12 @@ def evaluate_grid(
     thresholds = tuple(sorted(set(float(t) for t in threshold_grid)))
     if not radii or not thresholds:
         raise EmptyGrid("both grids must be non-empty")
-    if any(s < 0 for s in radii):
-        raise ValueError("radii must be >= 0")
+    if any(not s >= 0 for s in radii):
+        raise InvalidGrid(f"radii must be >= 0, got {radius_grid!r}")
     if any(not 0.0 < t <= 1.0 for t in thresholds):
-        raise ValueError("thresholds must be in (0, 1]")
-    if int(cohort.labeled_mask.sum()) < 2:
-        raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
-    n_arr, k_arr = _neighborhood_counts(cohort, distances, np.array(radii))
-    p_arr = _tail_pvalues(n_arr, k_arr, base_rate(cohort))
-    return tuple(
-        GridCell(radius, t, _cell_metrics(cohort, p_arr[:, r], t))
-        for r, radius in enumerate(radii)
-        for t in thresholds
-    )
+        raise InvalidGrid(f"thresholds must be in (0, 1], got {threshold_grid!r}")
+    metrics = iter(_grid_metrics(cohort, distances, radii, thresholds))
+    return tuple(GridCell(s, t, next(metrics)) for s in radii for t in thresholds)
 
 
 def select_winner(cells, criterion) -> GridCell:

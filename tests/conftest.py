@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fill.cohort import Cohort, FeatureSchema, Label
+from fill.tune import _loo_metrics, _tally
 
 
 def make_cohort(binary_rows, labels, continuous_rows=None, continuous_names=(), ids=None):
@@ -48,3 +49,12 @@ def random_cohort(rng, n_records, n_binary, n_unknown=0, n_continuous=0):
         continuous_rows=continuous,
         continuous_names=tuple(f"c{i}" for i in range(n_continuous)),
     )
+
+
+def cell_metrics(cohort, p_arr, threshold):
+    """LOO metrics of per-record p-values decided at one threshold.
+
+    The counts and ratios come from the grid's own tally and metric code.
+    """
+    tp, fp, newly = _tally(np.asarray(p_arr) < threshold, cohort.pos_mask, cohort.labeled_mask)
+    return _loo_metrics(int(tp), int(fp), int(newly), int(cohort.labeled_mask.sum()))

@@ -204,9 +204,8 @@ def test_criterion_5_loo_and_grid_vs_brute_force(seed7):
 
 def test_criterion_6_metric_arithmetic_fixtures():
     with criterion(6, "precision/yield/base-rate fixtures exact"):
-        from conftest import make_cohort
+        from conftest import cell_metrics as _cell_metrics, make_cohort
         from fill.classify import base_rate
-        from fill.tune import _cell_metrics
 
         # drive the production counting path with a decided/undecided split
         # matching the documented counts: 46 TP + 8 FP over 2418 labeled,

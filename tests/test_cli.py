@@ -137,6 +137,25 @@ class TestTuneCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--radius-grid", "0.5,-1"), ("--pvalue-grid", "0.05,2"), ("--radius-grid", "0.5,nan")],
+    )
+    def test_bad_grid_value_usage_error(self, synth_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        code = run(
+            [
+                "tune", "--input", str(synth_dir / "synthetic_cohort.csv"),
+                "--metric", "jaccard", flag, value, "--out", str(out),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not (out / "grid_table.csv").exists()
+
     def test_no_feasible_cell_exit_2_report_written(self, synth_dir, tmp_path):
         out = tmp_path / "nofeasible"
         code = run(

@@ -7,11 +7,12 @@ from scipy.stats import binom
 from fill.classify import Decision, FillModel, Hyperparameters, base_rate, classify
 from fill.cohort import Label
 from fill.distance import Metric, distance_matrix
-from fill.errors import EmptyGrid, NoFeasibleCell, TooFewLabeled
+from fill.errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
 from fill.synth import default_spec, synth_cohort_with_truth
+from fill.stats import binom_tail
 from fill.tune import (
+    _decision_thresholds,
     _neighborhood_counts,
-    _tail_pvalues,
     CriterionA,
     CriterionB,
     GridCell,
@@ -189,6 +190,31 @@ class TestGridSearch:
         ]
         assert reports[0] == reports[1] == reports[2]
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_invalid_radius_rejected(self, medium_cohort, medium_distances, bad):
+        with pytest.raises(InvalidGrid):
+            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5, bad), (0.05,),
+                          distances=medium_distances)
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, float("nan")])
+    def test_invalid_threshold_rejected(self, medium_cohort, medium_distances, bad):
+        with pytest.raises(InvalidGrid):
+            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5,), (0.05, bad),
+                          distances=medium_distances)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_default_radius_grid_matches_triu_reference(self, metric):
+        rng = np.random.default_rng(5)
+        cohort = random_cohort(
+            rng, 80, 12, n_unknown=20, n_continuous=2 if metric is Metric.GOWER else 0
+        )
+        dm = distance_matrix(cohort, metric)
+        labeled = np.flatnonzero(cohort.labeled_mask)
+        sub = dm.values[np.ix_(labeled, labeled)]
+        pairs = sub[np.triu_indices(labeled.size, k=1)]
+        expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
+        assert default_radius_grid(cohort, dm) == expected
+
     def test_default_grids(self, medium_cohort, medium_distances):
         radii = default_radius_grid(medium_cohort, medium_distances)
         assert all(r >= 0 for r in radii)
@@ -263,7 +289,10 @@ class TestCountKernel:
         dm = distance_matrix(cohort, metric)
         # radii taken from the distances themselves exercise the closed ball's <= tie
         values = sorted(set(dm.values.ravel().tolist()))
-        radii = data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=4))
+        # inf: the record itself must stay out of its own ball
+        radii = data.draw(
+            st.lists(st.sampled_from(values + [float("inf")]), min_size=1, max_size=4)
+        )
         cells = evaluate_grid(cohort, metric, radii, self.THRESHOLDS, distances=dm)
         cache = {}
         for cell in cells:
@@ -279,10 +308,11 @@ class TestCountKernel:
     def test_tail_decisions_match_scipy(self, seed):
         """No (n, k) the default grid uses flips a decision against scipy.
 
-        The tail tables use a reverse cumulative sum, not an exactly rounded
-        sum (math.fsum); over the (n, k, p0) of the benchmark cohorts the two
-        differ by at most 1.9e-15 relative. Only a tail within 1e-9 relative
-        of a threshold may be decided either way.
+        The grid decides POS in count space, as K >= k*(N, T). k* is read
+        from tail tables summed by a reverse cumulative sum, not an exactly
+        rounded sum (math.fsum); over the (n, k, p0) of the benchmark
+        cohorts the two differ by at most 1.9e-15 relative. Only a tail
+        within 1e-9 relative of a threshold may be decided either way.
         """
         cohort, _ = synth_cohort_with_truth(default_spec(1400, 600, 60, seed=seed))
         dm = distance_matrix(cohort, Metric.JACCARD)
@@ -290,9 +320,24 @@ class TestCountKernel:
         n_arr, k_arr = _neighborhood_counts(cohort, dm, radii)
         n_used, k_used = np.unique(np.stack([n_arr.ravel(), k_arr.ravel()]), axis=1)
         p0 = base_rate(cohort)
-        ours = _tail_pvalues(n_used, k_used, p0)
+        thresholds = default_threshold_grid()
+        k_star = _decision_thresholds(np.unique(n_used), p0, thresholds)
         reference = binom.sf(k_used - 1, n_used, p0)
-        for t in default_threshold_grid():
-            flipped = (ours < t) != (reference < t)
-            near = np.abs(reference - t) <= 1e-9 * t
-            assert not (flipped & ~near).any(), f"decision flips at T={t}"
+        for t, threshold in enumerate(thresholds):
+            flipped = (k_used >= k_star[n_used, t]) != (reference < threshold)
+            near = np.abs(reference - threshold) <= 1e-9 * threshold
+            assert not (flipped & ~near).any(), f"decision flips at T={threshold}"
+
+    @given(
+        sizes=st.lists(st.integers(0, 120), min_size=1, max_size=6),
+        p=st.sampled_from([0.0, 1.0, 875 / 2418, 0.5, 1e-3]),
+    )
+    @settings(deadline=None)
+    def test_count_space_decision_equals_tail_decision(self, sizes, p):
+        thresholds = default_threshold_grid()
+        k_star = _decision_thresholds(np.unique(sizes), p, thresholds)
+        for n in sizes:
+            tail = binom_tail(n, p)
+            k = np.arange(n + 2)
+            for t, threshold in enumerate(thresholds):
+                assert ((k >= k_star[n, t]) == (tail < threshold)).all()
