@@ -37,7 +37,6 @@ from .distance import (
     DistanceMatrix,
     Metric,
     distance_matrix,
-    distance_row,
     gower,
     jaccard,
     manhattan,

@@ -92,8 +92,7 @@ def classify(
     idx = cohort.id_index.get(record_id)
     if idx is None:
         raise UnknownRecord(record_id)
-    if distances.ids != cohort.ids:
-        raise ValueError("distance matrix does not cover this cohort")
+    distances.require_cover(cohort)
     row = distances.values[idx]
     mask = cohort.labeled_mask & (row <= model.hyperparameters.radius)
     mask = mask.copy()

@@ -1,10 +1,15 @@
 """Pairwise dissimilarities: Jaccard, Manhattan, and Gower.
 
-One kernel, `_block`, computes every distance: the scalar functions, the
-single row and the full matrix are 1 x 1, 1 x n and n x n calls into it.
-Binary counts come from one float64 matmul whose cells are exact integers,
-and the Gower terms are added in schema order, so a given pair gets the
-same bits from every entry point.
+One kernel, `_block`, computes every distance: the scalar functions and
+the full matrix are 1 x 1 and n x n calls into it. Binary counts come
+from one float64 matmul whose cells are exact integers, and the Gower
+terms are added in schema order, so a given pair gets the same bits from
+every entry point.
+
+A Jaccard or Manhattan distance depends only on a pair's mismatch and
+union counts, so `pair_codes` can stand in for a block of distances: one
+integer code per pair, whose value `code_values` gives with `_block`'s
+arithmetic.
 """
 
 from dataclasses import dataclass
@@ -137,13 +142,22 @@ class DistanceMatrix:
     def id_index(self) -> dict:
         return {rid: i for i, rid in enumerate(self.ids)}
 
+    def require_cover(self, cohort: Cohort) -> None:
+        """Raise ValueError unless the rows are cohort's records, in its order."""
+        if self.ids != cohort.ids:
+            raise ValueError("distance matrix does not cover this cohort")
 
-def _cohort_block(cohort: Cohort, metric: Metric, rows):
-    """Distances from the records `rows` selects to every record."""
+
+def _require_binary_schema(cohort: Cohort, metric: Metric) -> None:
     if metric is not Metric.GOWER and cohort.schema.continuous_names:
         raise IncompatibleMetric(
             f"{metric.value} requires a schema without continuous features"
         )
+
+
+def _cohort_block(cohort: Cohort, metric: Metric, rows):
+    """Distances from the records `rows` selects to every record."""
+    _require_binary_schema(cohort, metric)
     return _block(
         cohort.binary[rows],
         cohort.binary,
@@ -158,17 +172,40 @@ def distance_matrix(cohort: Cohort, metric: Metric) -> DistanceMatrix:
     """Materialize the full n x n matrix for the chosen metric."""
     values, empty = _cohort_block(cohort, metric, slice(None))
     np.fill_diagonal(values, 0.0)
-    degenerate = int(np.triu(empty, k=1).sum())
+    # empty is symmetric: off-diagonal cells count each unordered pair twice
+    degenerate = (np.count_nonzero(empty) - np.count_nonzero(empty.diagonal())) // 2
     return DistanceMatrix(cohort.ids, values, metric, degenerate)
 
 
-def distance_row(cohort: Cohort, metric: Metric, index: int) -> np.ndarray:
-    """One record's distances to every record, without the n x n matrix.
+def code_values(cohort: Cohort, metric: Metric) -> np.ndarray:
+    """Distance of each pair code mismatch * (F + 1) + union, F binary features.
 
-    Fallback for cohorts too large to materialize; values agree bitwise
-    with the matrix row.
+    The values are `_block`'s: mismatch for Manhattan, and mismatch / union
+    for Jaccard, with union 0 (two all-zero records) at 0. Codes that no
+    pair has (mismatch > union) get values too and are never looked up.
     """
-    values, _ = _cohort_block(cohort, metric, [index])
-    row = values[0]
-    row[index] = 0.0
-    return row
+    if metric is Metric.GOWER:
+        raise IncompatibleMetric("gower distances have no pair codes")
+    _require_binary_schema(cohort, metric)
+    width = cohort.binary.shape[1] + 1
+    mismatch, union = np.divmod(np.arange(width * width, dtype=np.float64), width)
+    if metric is Metric.MANHATTAN:
+        return mismatch
+    return np.divide(mismatch, union, out=np.zeros_like(mismatch), where=union > 0)
+
+
+def pair_codes(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Code mismatch * (F + 1) + union of every (row, column) pair, as intp.
+
+    rows and columns are 0/1 float64 blocks over the same F features. The
+    code is (|a| + |b|)(F + 2) - ones (2F + 3), with ones the shared-one
+    count of `_block`; it is taken as one matmul of each block widened by
+    two columns. Every product and partial sum is an integer far below
+    2**53, so BLAS gives the exact code in any summation order.
+    """
+    width = rows.shape[1] + 2
+    a = np.column_stack([rows, width * rows.sum(axis=1), np.ones(len(rows))])
+    b = np.column_stack(
+        [(1 - 2 * width) * columns, np.ones(len(columns)), width * columns.sum(axis=1)]
+    )
+    return (a @ b.T).astype(np.intp)

@@ -98,6 +98,7 @@ def explain_record(
     idx = cohort.id_index.get(record_id)
     if idx is None:
         raise UnknownRecord(record_id)
+    distances.require_cover(cohort)
     row = distances.values[idx]
     labeled = cohort.labeled_mask.copy()
     labeled[idx] = False  # the record's own features define the query, not evidence

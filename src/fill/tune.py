@@ -7,12 +7,13 @@ pick the same winner.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .classify import Hyperparameters, base_rate
 from .cohort import Cohort
-from .distance import DistanceMatrix, Metric, distance_matrix
+from .distance import DistanceMatrix, Metric, code_values, distance_matrix, pair_codes
 from .errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
 # binom_sf is not called here; it stays importable as fill.tune.binom_sf
 # because perfbench/tracing.py wraps it and perfbench/test_check.py deletes it.
@@ -106,6 +107,57 @@ def _neighborhood_counts(cohort, distances, radii):
     return n_arr, k_arr
 
 
+def _code_blocks(cohort, rows):
+    """(position in rows, codes) per block of _ROW_BLOCK rows against the labeled.
+
+    Codes are `pair_codes`; a record's own column holds the sentinel code
+    (F + 1)**2, one past every real code.
+    """
+    binary = cohort.binary.astype(np.float64)
+    labeled = np.flatnonzero(cohort.labeled_mask)
+    columns = binary[labeled]
+    column_of = np.full(len(cohort), -1)
+    column_of[labeled] = np.arange(labeled.size)
+    sentinel = (binary.shape[1] + 1) ** 2
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        codes = pair_codes(binary[block], columns)
+        own = np.flatnonzero(column_of[block] >= 0)
+        codes[own, column_of[block[own]]] = sentinel
+        yield start, codes
+
+
+def _codes_fit(cohort, metric) -> bool:
+    """True for Jaccard and Manhattan while the code tables, (F + 1)**2
+    entries for F binary features, are no larger than the n x n_labeled
+    pairs they count."""
+    pairs = len(cohort) * int(cohort.labeled_mask.sum())
+    return metric is not Metric.GOWER and (cohort.binary.shape[1] + 1) ** 2 <= pairs
+
+
+def _code_counts(cohort, values, radii):
+    """N and K of `_neighborhood_counts`, counted from pair codes.
+
+    A code's bucket is the number of radii below its value, so the pair is
+    inside the ball of every radius from that bucket on; the sentinel's
+    bucket is past the last radius. Each block's buckets are counted per
+    row by one offset bincount, then summed up the radii.
+    """
+    width = len(radii) + 1
+    bucket = np.append(np.searchsorted(radii, values, "left"), width - 1)
+    pos = np.flatnonzero(cohort.pos_mask[cohort.labeled_mask])
+    n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
+    k_arr = np.empty_like(n_arr)
+    for start, codes in _code_blocks(cohort, np.arange(len(cohort))):
+        rows = slice(start, start + len(codes))
+        buckets = bucket[codes]
+        buckets += width * np.arange(len(codes))[:, None]
+        for out, columns in ((n_arr, buckets), (k_arr, buckets[:, pos])):
+            tally = np.bincount(columns.ravel(), minlength=len(codes) * width)
+            np.cumsum(tally.reshape(-1, width)[:, :-1], axis=1, out=out[rows])
+    return n_arr, k_arr
+
+
 def _decision_thresholds(sizes, p0, thresholds):
     """k*[n, t]: the least k with P(X >= k) < thresholds[t], X ~ Binomial(n, p0).
 
@@ -137,28 +189,29 @@ def _loo_metrics(tp: int, fp: int, newly: int, n_labeled: int) -> LooMetrics:
     return LooMetrics(tp, fp, precision, newly / n_labeled)
 
 
-def _grid_metrics(cohort, distances, radii, thresholds) -> list[LooMetrics]:
+def _grid_metrics(cohort, counts, radii, thresholds) -> list[LooMetrics]:
     """Leave-one-out metrics of every (radius, threshold), radius-major.
 
     Each labeled record is classified with itself removed from the
     evidence; the base rate stays fixed at the full labeled pool's value.
     UNKNOWN records are classified under the same pair to obtain the
-    yield. Decisions are made in count space, one row block at a time.
+    yield. counts(radii) gives every record's N and K; decisions are made
+    from them in count space, one row block at a time.
     """
     n_labeled = int(cohort.labeled_mask.sum())
     if n_labeled < 2:
         raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
     thresholds = np.array(thresholds)
-    n_arr, k_arr = _neighborhood_counts(cohort, distances, np.array(radii))
+    n_arr, k_arr = counts(np.array(radii))
     k_star = _decision_thresholds(np.unique(n_arr), base_rate(cohort), thresholds)
-    counts = np.zeros((3, len(radii), thresholds.size), dtype=np.int64)
+    totals = np.zeros((3, len(radii), thresholds.size), dtype=np.int64)
     for start in range(0, len(cohort), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         decided = k_arr[rows, :, None] >= k_star[n_arr[rows]]
-        counts += _tally(decided, cohort.pos_mask[rows], cohort.labeled_mask[rows])
+        totals += _tally(decided, cohort.pos_mask[rows], cohort.labeled_mask[rows])
     return [
         _loo_metrics(tp, fp, newly, n_labeled)
-        for tp, fp, newly in zip(*(c.ravel().tolist() for c in counts))
+        for tp, fp, newly in zip(*(c.ravel().tolist() for c in totals))
     ]
 
 
@@ -166,7 +219,47 @@ def loo_evaluate(
     cohort: Cohort, hp: Hyperparameters, distances: DistanceMatrix
 ) -> LooMetrics:
     """Leave-one-out counts for one hyperparameter pair: the 1 x 1 grid."""
-    return _grid_metrics(cohort, distances, (hp.radius,), (hp.p_threshold,))[0]
+    distances.require_cover(cohort)
+    counts = partial(_neighborhood_counts, cohort, distances)
+    return _grid_metrics(cohort, counts, (hp.radius,), (hp.p_threshold,))[0]
+
+
+def _quantile_radii(values, counts) -> tuple[float, ...]:
+    """The distinct radii of np.quantile(pairs, linspace(0, 1, 41)).
+
+    pairs is given as its distinct values, ascending, and their counts.
+    The quantiles are numpy's default (`linear`, Hyndman & Fan 1996 type
+    7): the two order statistics around (n - 1) q, combined by numpy's own
+    interpolation rule, so the radii are bitwise equal to np.quantile's.
+    """
+    last = int(counts.sum()) - 1
+    virtual = last * np.linspace(0.0, 1.0, 41)
+    below = np.minimum(np.floor(virtual), last)
+    above = np.minimum(below + 1, last)
+    gamma = virtual - below
+    order = np.cumsum(counts)
+    a = values[order.searchsorted(below, "right")]
+    b = values[order.searchsorted(above, "right")]
+    diff = b - a
+    qs = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=qs, where=gamma >= 0.5)
+    return tuple(sorted(set(qs.tolist())))
+
+
+def _code_radius_grid(cohort, values) -> tuple[float, ...]:
+    """`default_radius_grid` from a histogram of labeled-pair codes."""
+    histogram = np.zeros(values.size + 1, dtype=np.int64)
+    for _, codes in _code_blocks(cohort, np.flatnonzero(cohort.labeled_mask)):
+        histogram += np.bincount(codes.ravel(), minlength=values.size + 1)
+    # the sentinel bin holds the records themselves; every pair came twice
+    histogram = histogram[:-1] // 2
+    present = np.flatnonzero(histogram)
+    if present.size == 0:
+        raise TooFewLabeled("no labeled pairs to build a radius grid from")
+    distinct, which = np.unique(values[present], return_inverse=True)
+    counts = np.zeros(distinct.size, dtype=np.int64)
+    np.add.at(counts, which, histogram[present])
+    return _quantile_radii(distinct, counts)
 
 
 def default_radius_grid(cohort: Cohort, distances: DistanceMatrix) -> tuple[float, ...]:
@@ -183,8 +276,7 @@ def default_radius_grid(cohort: Cohort, distances: DistanceMatrix) -> tuple[floa
         at += upper.size
     if pairs.size == 0:
         raise TooFewLabeled("no labeled pairs to build a radius grid from")
-    qs = np.quantile(pairs, np.linspace(0.0, 1.0, 41))
-    return tuple(sorted(set(float(q) for q in qs)))
+    return _quantile_radii(*np.unique(pairs, return_counts=True))
 
 
 def default_threshold_grid() -> tuple[float, ...]:
@@ -218,13 +310,28 @@ def evaluate_grid(
 ) -> tuple[GridCell, ...]:
     """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
 
+    Without `distances`, a Jaccard or Manhattan cohort is counted from
+    pair codes and no n x n matrix is built (see `_codes_fit`); Gower
+    builds the matrix. Both sources give the same counts, so the same
+    cells.
+
     threads is accepted for compatibility and ignored: the grid is one
     vectorised pass.
     """
-    if distances is None:
-        distances = distance_matrix(cohort, metric)
+    if distances is None and _codes_fit(cohort, metric):
+        values = code_values(cohort, metric)
+        default_radii = partial(_code_radius_grid, cohort, values)
+        counts = partial(_code_counts, cohort, values)
+    else:
+        if distances is None:
+            distances = distance_matrix(cohort, metric)
+        if distances.metric is not metric:
+            raise ValueError(f"distance matrix is {distances.metric.value}, not {metric.value}")
+        distances.require_cover(cohort)
+        default_radii = partial(default_radius_grid, cohort, distances)
+        counts = partial(_neighborhood_counts, cohort, distances)
     if radius_grid is None:
-        radius_grid = default_radius_grid(cohort, distances)
+        radius_grid = default_radii()
     if threshold_grid is None:
         threshold_grid = default_threshold_grid()
     radii = tuple(sorted(set(float(s) for s in radius_grid)))
@@ -235,7 +342,7 @@ def evaluate_grid(
         raise InvalidGrid(f"radii must be >= 0, got {radius_grid!r}")
     if any(not 0.0 < t <= 1.0 for t in thresholds):
         raise InvalidGrid(f"thresholds must be in (0, 1], got {threshold_grid!r}")
-    metrics = iter(_grid_metrics(cohort, distances, radii, thresholds))
+    metrics = iter(_grid_metrics(cohort, counts, radii, thresholds))
     return tuple(GridCell(s, t, next(metrics)) for s in radii for t in thresholds)
 
 

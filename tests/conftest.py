@@ -51,6 +51,15 @@ def random_cohort(rng, n_records, n_binary, n_unknown=0, n_continuous=0):
     )
 
 
+def reversed_cohort(cohort):
+    """The same records in the opposite order: same size, other row order."""
+    order = np.arange(len(cohort))[::-1]
+    return Cohort.make(
+        cohort.schema, cohort.ids[::-1], cohort.binary[order],
+        cohort.continuous[order], cohort.labels[::-1],
+    )
+
+
 def cell_metrics(cohort, p_arr, threshold):
     """LOO metrics of per-record p-values decided at one threshold.
 

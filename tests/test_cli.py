@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fill.tune
 from fill.cli import main, parse_config_file, parse_schema_spec, build_config
 
 from conftest import make_cohort
@@ -126,6 +127,23 @@ class TestTuneCommand:
         table = (out / "grid_table.csv").read_text().splitlines()
         assert table[0] == "S,T,tp,fp,precision,yield"
         assert len(table) == 16
+
+    @pytest.mark.parametrize("metric", ["jaccard", "manhattan"])
+    def test_tune_builds_no_distance_matrix(self, synth_dir, tmp_path, monkeypatch, metric):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fill tune built the n x n distance matrix")
+
+        monkeypatch.setattr(fill.tune, "distance_matrix", refuse)
+        out = tmp_path / metric
+        code = run(
+            [
+                "tune", "--input", str(synth_dir / "synthetic_cohort.csv"),
+                "--metric", metric, "--criterion", "a", "--min-tp", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads((out / "grid_report.json").read_text())["feasible"] is True
 
     def test_empty_grid_usage_error(self, synth_dir, tmp_path):
         code = run(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fill.distance import (
     Metric,
     distance_matrix,
-    distance_row,
     gower,
     jaccard,
     manhattan,
@@ -171,13 +170,5 @@ class TestDistanceMatrix:
         # only the all-zero/all-zero pair hits the 0/0 convention
         assert dm.degenerate_pairs == 1
         assert dm.values[0, 1] == 0.0
-
-    @pytest.mark.parametrize("metric", list(Metric))
-    def test_row_fallback_matches_matrix_bitwise(self, metric):
-        rng = np.random.default_rng(19)
-        n_cont = 2 if metric is Metric.GOWER else 0
-        cohort = random_cohort(rng, 25, 5, n_unknown=4, n_continuous=n_cont)
-        dm = distance_matrix(cohort, metric)
-        for i in (0, 7, 24):
-            row = distance_row(cohort, metric, i)
-            assert np.array_equal(row, dm.values[i])
+        cohort = make_cohort([[0, 0]] * 4 + [[1, 1]], ["POS"] * 5)
+        assert distance_matrix(cohort, Metric.JACCARD).degenerate_pairs == 6

@@ -18,7 +18,7 @@ from fill.explain import (
 from fill.stats import fisher_exact
 from fill.synth import default_spec, synth_cohort_with_truth
 
-from conftest import make_cohort, random_cohort
+from conftest import make_cohort, random_cohort, reversed_cohort
 
 
 def hp(radius, threshold, metric=Metric.JACCARD):
@@ -149,6 +149,12 @@ class TestExplainRecord:
         model = FillModel.fit(cohort, hp(1.0, 0.05, Metric.GOWER))
         with pytest.raises(EmptyComplement):
             explain_record(cohort.ids[0], cohort, model, dm)
+
+    def test_matrix_of_another_cohort_rejected(self, cohort):
+        other = distance_matrix(reversed_cohort(cohort), Metric.GOWER)
+        model = FillModel.fit(cohort, hp(0.5, 0.05, Metric.GOWER))
+        with pytest.raises(ValueError, match="does not cover this cohort"):
+            explain_record(cohort.ids[0], cohort, model, other)
 
 
 def serve_like_cohort(seed):

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import fill.tune
 from fill.classify import Decision, FillModel, Hyperparameters, base_rate, classify
 from fill.cohort import Label
 from fill.distance import Metric, distance_matrix
-from fill.errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
+from fill.errors import EmptyGrid, IncompatibleMetric, InvalidGrid, NoFeasibleCell, TooFewLabeled
 from fill.synth import default_spec, synth_cohort_with_truth
 from fill.stats import binom_tail
 from fill.tune import (
     _decision_thresholds,
     _neighborhood_counts,
+    _quantile_radii,
     CriterionA,
     CriterionB,
     GridCell,
@@ -25,7 +27,7 @@ from fill.tune import (
     precision_yield_frontier,
 )
 
-from conftest import make_cohort, random_cohort
+from conftest import make_cohort, random_cohort, reversed_cohort
 from oracles import brute_force_cell, brute_force_winner
 
 
@@ -341,3 +343,99 @@ class TestCountKernel:
             k = np.arange(n + 2)
             for t, threshold in enumerate(thresholds):
                 assert ((k >= k_star[n, t]) == (tail < threshold)).all()
+
+
+class TestDistancesMatchCohort:
+    def test_matrix_of_another_cohort_rejected(self, medium_cohort):
+        other = distance_matrix(reversed_cohort(medium_cohort), Metric.JACCARD)
+        with pytest.raises(ValueError, match="does not cover this cohort"):
+            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5,), (0.05,), distances=other)
+        with pytest.raises(ValueError, match="does not cover this cohort"):
+            grid_search(medium_cohort, Metric.JACCARD, distances=other)
+        with pytest.raises(ValueError, match="does not cover this cohort"):
+            loo_evaluate(medium_cohort, hp(0.5, 0.05), other)
+
+    def test_matrix_of_another_metric_rejected(self, medium_cohort, medium_distances):
+        with pytest.raises(ValueError, match="jaccard, not manhattan"):
+            evaluate_grid(medium_cohort, Metric.MANHATTAN, (1.0,), (0.05,),
+                          distances=medium_distances)
+
+
+def refuse_matrix(*args, **kwargs):
+    raise AssertionError("the grid built an n x n distance matrix")
+
+
+class TestCodeCounts:
+    """evaluate_grid without a matrix counts Jaccard and Manhattan from pair codes."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        metric=st.sampled_from([Metric.JACCARD, Metric.MANHATTAN]),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_cells_match_matrix_path(self, seed, metric, data):
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(1, 5))
+        # rows drawn from a small pool repeat, and the pool holds an all-zero row
+        pool = rng.integers(0, 2, size=(int(rng.integers(1, 7)), n_features))
+        pool[0] = 0
+        n_records = int(rng.integers((n_features + 1) ** 2, 31))
+        binary = pool[rng.integers(0, len(pool), size=n_records)]
+        n_labeled = data.draw(st.integers(2, n_records))
+        labels = ["UNKNOWN"] * n_records
+        for i in rng.choice(n_records, size=n_labeled, replace=False):
+            labels[i] = "POS" if rng.random() < 0.4 else "NEG"
+        cohort = make_cohort(binary.tolist(), labels)
+        dm = distance_matrix(cohort, metric)
+        values = sorted(set(dm.values.ravel().tolist()))
+        # distances themselves hit the closed ball's <= tie; 0.5 is the
+        # Jaccard value of several codes (1/2, 2/4); None is the default grid
+        radii = data.draw(st.none() | st.lists(
+            st.sampled_from(values + [0.0, 0.5, float("inf")]), min_size=1, max_size=5
+        ))
+        expected = evaluate_grid(cohort, metric, radii, distances=dm)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
+            assert evaluate_grid(cohort, metric, radii) == expected
+
+    def test_equal_values_of_different_codes_merge(self):
+        # Jaccard 1/2 (rows 0, 1) and 2/4 (rows 1, 2) are one radius
+        rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 1]]
+        cohort = make_cohort(rows * 5, ["POS", "NEG", "POS", "NEG", "UNKNOWN"] * 5)
+        dm = distance_matrix(cohort, Metric.JACCARD)
+        expected = evaluate_grid(cohort, Metric.JACCARD, distances=dm)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
+            assert evaluate_grid(cohort, Metric.JACCARD) == expected
+        assert 0.5 in {cell.radius for cell in expected}
+
+    @given(
+        pairs=st.lists(
+            st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0, 2.0, 7.0]) | st.floats(0, 60),
+            min_size=1, max_size=80,
+        )
+    )
+    def test_histogram_radii_match_numpy_quantile(self, pairs):
+        pairs = np.array(pairs)
+        expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
+        assert _quantile_radii(*np.unique(pairs, return_counts=True)) == expected
+
+    @pytest.mark.parametrize("metric", [Metric.JACCARD, Metric.MANHATTAN])
+    def test_continuous_schema_still_incompatible(self, metric):
+        cohort = random_cohort(np.random.default_rng(4), 30, 3, n_continuous=1)
+        with pytest.raises(IncompatibleMetric):
+            evaluate_grid(cohort, metric)
+
+    @pytest.mark.parametrize("n_labeled", [0, 1])
+    def test_too_few_labeled_messages_unchanged(self, n_labeled):
+        rows = [[1], [0], [1], [0], [1], [1]]
+        cohort = make_cohort(rows, ["POS"] * n_labeled + ["UNKNOWN"] * (6 - n_labeled))
+        dm = distance_matrix(cohort, Metric.JACCARD)
+        for radius_grid, message in [
+            (None, "no labeled pairs to build a radius grid from"),
+            ((0.5,), "leave-one-out needs at least 2 labeled records"),
+        ]:
+            for distances in (None, dm):
+                with pytest.raises(TooFewLabeled, match=message):
+                    evaluate_grid(cohort, Metric.JACCARD, radius_grid, distances=distances)
