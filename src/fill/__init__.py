@@ -20,7 +20,6 @@ from .classify import (
     FillModel,
     Hyperparameters,
     base_rate,
-    classify,
     impute_unknowns,
 )
 from .cohort import (

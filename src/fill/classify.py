@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cohort import Cohort, Label
+from .cohort import Cohort
 from .distance import DistanceMatrix, Metric
 from .errors import ModelCohortMismatch, NoLabeledRecords, UnknownRecord
 from .stats import binom_sf
@@ -48,10 +48,7 @@ class FillModel:
     @classmethod
     def fit(cls, cohort: Cohort, hp: Hyperparameters) -> "FillModel":
         return cls(
-            labeled_ids=tuple(
-                rid for rid, lab in zip(cohort.ids, cohort.labels)
-                if lab is not Label.UNKNOWN
-            ),
+            labeled_ids=cohort.labeled_ids,
             base_rate=base_rate(cohort),
             hyperparameters=hp,
         )
@@ -75,33 +72,39 @@ def base_rate(cohort: Cohort) -> float:
     return int(cohort.pos_mask.sum()) / n_labeled
 
 
+def neighborhood(
+    record_id: str,
+    cohort: Cohort,
+    model: FillModel,
+    distances: DistanceMatrix,
+) -> tuple[int, np.ndarray]:
+    """The record's row index and the mask of its labeled neighbors.
+
+    Neighbors are the labeled records within the closed ball of radius S,
+    never the record itself. distances must cover cohort in the model's
+    metric, or the radius would be read in the wrong units.
+    """
+    idx = cohort.id_index.get(record_id)
+    if idx is None:
+        raise UnknownRecord(record_id)
+    distances.require_cover(cohort, model.hyperparameters.metric)
+    mask = cohort.labeled_mask & (distances.values[idx] <= model.hyperparameters.radius)
+    mask[idx] = False
+    return idx, mask
+
+
 def classify(
     record_id: str,
     cohort: Cohort,
     model: FillModel,
     distances: DistanceMatrix,
-    exclude: str | None = None,
 ) -> ClassificationResult:
     """Test one record's neighborhood against the base rate.
 
-    The neighbor set is every labeled record within the closed ball of
-    radius S, never including the record itself nor `exclude` (the
-    leave-one-out hook). Decision is POS iff the binomial tail p-value is
-    strictly below the threshold.
+    Decision is POS iff the binomial tail p-value of the positives among
+    the record's `neighborhood` is strictly below the threshold.
     """
-    idx = cohort.id_index.get(record_id)
-    if idx is None:
-        raise UnknownRecord(record_id)
-    distances.require_cover(cohort)
-    row = distances.values[idx]
-    mask = cohort.labeled_mask & (row <= model.hyperparameters.radius)
-    mask = mask.copy()
-    mask[idx] = False
-    if exclude is not None:
-        ex_idx = cohort.id_index.get(exclude)
-        if ex_idx is None:
-            raise UnknownRecord(exclude)
-        mask[ex_idx] = False
+    _, mask = neighborhood(record_id, cohort, model, distances)
     n = int(mask.sum())
     k = int((mask & cohort.pos_mask).sum())
     p = binom_sf(k, n, model.base_rate)
@@ -114,15 +117,8 @@ def impute_unknowns(
     cohort: Cohort,
     model: FillModel,
     distances: DistanceMatrix,
-    threads: int = 1,
 ) -> list[ClassificationResult]:
-    """Classify every UNKNOWN record, in cohort order.
-
-    threads is accepted for compatibility and ignored.
-    """
-    expected = tuple(
-        rid for rid, lab in zip(cohort.ids, cohort.labels) if lab is not Label.UNKNOWN
-    )
-    if model.labeled_ids != expected:
+    """Classify every UNKNOWN record, in cohort order."""
+    if model.labeled_ids != cohort.labeled_ids:
         raise ModelCohortMismatch("model was fit on a different labeled set")
     return [classify(rid, cohort, model, distances) for rid in cohort.unknown_ids]

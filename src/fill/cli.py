@@ -26,13 +26,7 @@ from .cohort import (
     write_cohort,
 )
 from .distance import DistanceMatrix, Metric, distance_matrix
-from .errors import (
-    EmptyComplement,
-    EmptyNeighborhood,
-    FillError,
-    NoFeasibleCell,
-    UsageError,
-)
+from .errors import FillError, NoFeasibleCell, UsageError
 from .explain import explain_record
 from .synth import default_spec, synth_cohort_with_truth, write_truth
 from .tune import CriterionA, CriterionB, grid_search, loo_evaluate
@@ -320,7 +314,7 @@ def cmd_explain(cfg: RunConfig, record_ids) -> int:
     for rid in unique_ids:
         try:
             expl = explain_record(rid, cohort, model, distances)
-        except (EmptyNeighborhood, EmptyComplement, FillError) as exc:
+        except FillError as exc:
             statuses.append({"record_id": rid, "status": "error", "reason": str(exc)})
             print(f"error: {rid}: {exc}", file=sys.stderr)
             continue
@@ -466,8 +460,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NoFeasibleCell:
-        return 2
     except FillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

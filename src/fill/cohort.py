@@ -147,6 +147,10 @@ class Cohort:
         return np.array([lab is Label.POS for lab in self.labels], dtype=bool)
 
     @cached_property
+    def labeled_ids(self) -> tuple[str, ...]:
+        return tuple(rid for rid, lab in zip(self.ids, self.labels) if lab is not Label.UNKNOWN)
+
+    @cached_property
     def unknown_ids(self) -> tuple[str, ...]:
         return tuple(rid for rid, lab in zip(self.ids, self.labels) if lab is Label.UNKNOWN)
 
@@ -187,22 +191,8 @@ def prevalence_filter(cohort: Cohort, lo: float = 0.01, hi: float = 0.99) -> Coh
         raise NoLabeledRecords("prevalence is undefined without labeled records")
     prevalence = cohort.binary[labeled].sum(axis=0) / n_labeled
     keep = (prevalence >= lo) & (prevalence <= hi)
-    schema = FeatureSchema(
-        binary_names=tuple(
-            name for name, k in zip(cohort.schema.binary_names, keep) if k
-        ),
-        continuous_names=cohort.schema.continuous_names,
-        label_column=cohort.schema.label_column,
-        id_column=cohort.schema.id_column,
-    )
-    return Cohort(
-        schema,
-        cohort.ids,
-        np.ascontiguousarray(cohort.binary[:, keep]),
-        cohort.continuous,
-        cohort.labels,
-        cohort.continuous_ranges,
-    )
+    kept = [name for name, k in zip(cohort.schema.binary_names, keep) if k]
+    return select_features(cohort, kept + list(cohort.schema.continuous_names))
 
 
 def select_features(cohort: Cohort, names) -> Cohort:

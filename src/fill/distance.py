@@ -14,7 +14,6 @@ arithmetic.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -138,12 +137,11 @@ class DistanceMatrix:
             raise ValueError("matrix shape does not match id count")
         self.values.setflags(write=False)
 
-    @cached_property
-    def id_index(self) -> dict:
-        return {rid: i for i, rid in enumerate(self.ids)}
-
-    def require_cover(self, cohort: Cohort) -> None:
-        """Raise ValueError unless the rows are cohort's records, in its order."""
+    def require_cover(self, cohort: Cohort, metric: Metric) -> None:
+        """Raise ValueError unless the rows are cohort's records, in its
+        order, and the values are in metric's units."""
+        if self.metric is not metric:
+            raise ValueError(f"distance matrix is {self.metric.value}, not {metric.value}")
         if self.ids != cohort.ids:
             raise ValueError("distance matrix does not cover this cohort")
 

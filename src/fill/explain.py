@@ -12,14 +12,13 @@ from enum import Enum
 
 import numpy as np
 
-from .classify import FillModel
+from .classify import FillModel, neighborhood
 from .cohort import Cohort
 from .distance import DistanceMatrix
 from .errors import (
     EmptyComplement,
     EmptyNeighborhood,
     InsufficientSample,
-    UnknownRecord,
     ZeroVarianceBoth,
 )
 from .stats import bh_fdr, fisher_exact, odds_ratio, welch_t
@@ -95,15 +94,9 @@ def explain_record(
     distances: DistanceMatrix,
 ) -> NeighborhoodExplanation:
     """Contrast a record's labeled neighbors against labeled non-neighbors."""
-    idx = cohort.id_index.get(record_id)
-    if idx is None:
-        raise UnknownRecord(record_id)
-    distances.require_cover(cohort)
-    row = distances.values[idx]
-    labeled = cohort.labeled_mask.copy()
-    labeled[idx] = False  # the record's own features define the query, not evidence
-    neighbor_mask = labeled & (row <= model.hyperparameters.radius)
-    complement_mask = labeled & ~neighbor_mask
+    idx, neighbor_mask = neighborhood(record_id, cohort, model, distances)
+    complement_mask = cohort.labeled_mask & ~neighbor_mask
+    complement_mask[idx] = False  # the record's own features define the query, not evidence
     n_count = int(neighbor_mask.sum())
     if n_count == 0:
         raise EmptyNeighborhood(f"{record_id!r} has no labeled neighbors in radius")

@@ -219,9 +219,7 @@ def loo_evaluate(
     cohort: Cohort, hp: Hyperparameters, distances: DistanceMatrix
 ) -> LooMetrics:
     """Leave-one-out counts for one hyperparameter pair: the 1 x 1 grid."""
-    distances.require_cover(cohort)
-    counts = partial(_neighborhood_counts, cohort, distances)
-    return _grid_metrics(cohort, counts, (hp.radius,), (hp.p_threshold,))[0]
+    return evaluate_grid(cohort, hp.metric, (hp.radius,), (hp.p_threshold,), distances)[0].metrics
 
 
 def _quantile_radii(values, counts) -> tuple[float, ...]:
@@ -306,7 +304,6 @@ def evaluate_grid(
     radius_grid=None,
     threshold_grid=None,
     distances: DistanceMatrix | None = None,
-    threads: int = 1,
 ) -> tuple[GridCell, ...]:
     """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
 
@@ -314,9 +311,6 @@ def evaluate_grid(
     pair codes and no n x n matrix is built (see `_codes_fit`); Gower
     builds the matrix. Both sources give the same counts, so the same
     cells.
-
-    threads is accepted for compatibility and ignored: the grid is one
-    vectorised pass.
     """
     if distances is None and _codes_fit(cohort, metric):
         values = code_values(cohort, metric)
@@ -325,9 +319,7 @@ def evaluate_grid(
     else:
         if distances is None:
             distances = distance_matrix(cohort, metric)
-        if distances.metric is not metric:
-            raise ValueError(f"distance matrix is {distances.metric.value}, not {metric.value}")
-        distances.require_cover(cohort)
+        distances.require_cover(cohort, metric)
         default_radii = partial(default_radius_grid, cohort, distances)
         counts = partial(_neighborhood_counts, cohort, distances)
     if radius_grid is None:
@@ -367,10 +359,9 @@ def grid_search(
     threshold_grid=None,
     criterion=CriterionA(),
     distances: DistanceMatrix | None = None,
-    threads: int = 1,
 ) -> GridSearchReport:
-    """Evaluate the grid and select the criterion's winner; threads is ignored."""
-    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances, threads)
+    """Evaluate the grid and select the criterion's winner."""
+    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances)
     winner = select_winner(cells, criterion)
     return GridSearchReport(grid=cells, winner=winner, criterion=criterion)
 
@@ -382,15 +373,13 @@ def precision_yield_frontier(
     threshold_grid=None,
     thresholds=(0.80, 0.85, 0.90, 0.95),
     distances: DistanceMatrix | None = None,
-    threads: int = 1,
 ) -> list[FrontierPoint]:
     """Best yield at each precision floor, plus the unconstrained point.
 
     The grid is evaluated once; each floor just re-selects a winner, so the
     feasible sets nest and yields are weakly monotone in the floor.
-    threads is accepted for compatibility and ignored.
     """
-    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances, threads)
+    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances)
     points = []
     for floor in list(thresholds) + [0.0]:
         try:

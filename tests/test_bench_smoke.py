@@ -59,9 +59,12 @@ def test_workload_prints_correct_result(checkout, workload):
         assert result["metrics"][name]["value"] is not None, name
 
 
-def test_traced_serve_gower_has_every_layer(checkout):
-    stdout, result = run_workload(checkout, "serve_gower", trace=1)
+@pytest.mark.parametrize("workload", ["tune_cli", "tune_small_batch", "serve_gower"])
+def test_traced_run_has_every_layer(checkout, workload):
+    """A traced run keeps every wrap point: no layer metric is null."""
+    stdout, result = run_workload(checkout, workload, trace=1)
     assert "! trace:" not in stdout
     nulls = [name for name, m in result["metrics"].items() if m["value"] is None]
     assert nulls == []
-    assert result["metrics"]["stats.fisher_calls"]["value"] == 200
+    if workload == "serve_gower":
+        assert result["metrics"]["stats.fisher_calls"]["value"] == 200

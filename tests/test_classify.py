@@ -9,7 +9,6 @@ from fill.classify import (
     classify,
     impute_unknowns,
 )
-from fill.cohort import Cohort, Label
 from fill.distance import Metric, distance_matrix
 from fill.errors import ModelCohortMismatch, NoLabeledRecords, UnknownRecord
 from fill.stats import binom_sf
@@ -19,19 +18,6 @@ from conftest import make_cohort, random_cohort
 
 def hp(radius, threshold, metric=Metric.JACCARD):
     return Hyperparameters(radius=radius, p_threshold=threshold, metric=metric)
-
-
-def with_label(cohort, record_id, label):
-    labels = list(cohort.labels)
-    labels[cohort.id_index[record_id]] = label
-    return Cohort(
-        cohort.schema,
-        cohort.ids,
-        cohort.binary,
-        cohort.continuous,
-        tuple(labels),
-        cohort.continuous_ranges,
-    )
 
 
 class TestBaseRate:
@@ -109,9 +95,16 @@ class TestClassify:
         res = classify("p0", cohort, model, dm)
         assert "p0" not in res.neighbor_ids
         assert res.neighborhood_n == 2
-        res_ex = classify("p0", cohort, model, dm, exclude="p1")
-        assert res_ex.neighborhood_n == 1
-        assert res_ex.neighbor_ids == ("p2",)
+        assert res.neighbor_ids == ("p1", "p2")
+
+    def test_matrix_of_another_metric_rejected(self):
+        cohort = make_cohort([[1, 0], [1, 1], [0, 1]], ["UNKNOWN", "POS", "NEG"])
+        dm = distance_matrix(cohort, Metric.MANHATTAN)
+        model = FillModel.fit(cohort, hp(0.5, 0.05))
+        with pytest.raises(ValueError, match="manhattan, not jaccard"):
+            classify("p0", cohort, model, dm)
+        with pytest.raises(ValueError, match="manhattan, not jaccard"):
+            impute_unknowns(cohort, model, dm)
 
     def test_unknown_record_error(self, tiny_mixed_cohort):
         dm = distance_matrix(tiny_mixed_cohort, Metric.GOWER)
@@ -128,23 +121,6 @@ class TestClassify:
         for rid in cohort.ids:
             res = classify(rid, cohort, model, dm)
             assert unknown.isdisjoint(res.neighbor_ids)
-
-    def test_exclude_equals_relabel_to_unknown(self):
-        rng = np.random.default_rng(17)
-        cohort = random_cohort(rng, 30, 5, n_unknown=5)
-        dm = distance_matrix(cohort, Metric.JACCARD)
-        model = FillModel.fit(cohort, hp(0.5, 0.05))
-        target = cohort.ids[2]
-        labeled = [r for r in cohort.ids if cohort.labels[cohort.id_index[r]] is not Label.UNKNOWN and r != target]
-        excluded_id = labeled[0]
-        direct = classify(target, cohort, model, dm, exclude=excluded_id)
-        relabeled = with_label(cohort, excluded_id, Label.UNKNOWN)
-        dm2 = distance_matrix(relabeled, Metric.JACCARD)
-        indirect = classify(target, relabeled, model, dm2)
-        assert direct.neighborhood_n == indirect.neighborhood_n
-        assert direct.positive_k == indirect.positive_k
-        assert direct.p_value == indirect.p_value
-        assert direct.decision == indirect.decision
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(23)
@@ -208,10 +184,9 @@ class TestImputeUnknowns:
         cohort = random_cohort(rng, 50, 6, n_unknown=20)
         dm = distance_matrix(cohort, Metric.JACCARD)
         model = FillModel.fit(cohort, hp(0.5, 0.1))
-        seq = impute_unknowns(cohort, model, dm, threads=1)
-        par = impute_unknowns(cohort, model, dm, threads=8)
-        assert [r.record_id for r in seq] == list(cohort.unknown_ids)
-        assert seq == par
+        first, *again = [impute_unknowns(cohort, model, dm) for _ in range(3)]
+        assert [r.record_id for r in first] == list(cohort.unknown_ids)
+        assert again == [first, first]
 
     def test_model_cohort_mismatch(self):
         c1 = make_cohort([[1], [0], [1]], ["POS", "NEG", "UNKNOWN"])

@@ -156,6 +156,13 @@ class TestExplainRecord:
         with pytest.raises(ValueError, match="does not cover this cohort"):
             explain_record(cohort.ids[0], cohort, model, other)
 
+    def test_matrix_of_another_metric_rejected(self):
+        cohort = make_cohort([[1, 0], [1, 1], [0, 1]], ["POS", "POS", "NEG"])
+        dm = distance_matrix(cohort, Metric.JACCARD)
+        model = FillModel.fit(cohort, hp(1.0, 0.05, Metric.MANHATTAN))
+        with pytest.raises(ValueError, match="jaccard, not manhattan"):
+            explain_record(cohort.ids[0], cohort, model, dm)
+
 
 def serve_like_cohort(seed):
     """A small Gower cohort shaped like the serving benchmark's: 60 binary

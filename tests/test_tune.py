@@ -69,7 +69,7 @@ class TestLooEvaluate:
         model = FillModel.fit(medium_cohort, pair)
         tp = fp = newly = 0
         for rid, label in zip(medium_cohort.ids, medium_cohort.labels):
-            res = classify(rid, medium_cohort, model, medium_distances, exclude=rid)
+            res = classify(rid, medium_cohort, model, medium_distances)
             if res.decision is Decision.POS:
                 if label is Label.POS:
                     tp += 1
@@ -186,10 +186,7 @@ class TestGridSearch:
             criterion=CriterionB(min_precision=0.0),
             distances=medium_distances,
         )
-        reports = [
-            grid_search(medium_cohort, Metric.JACCARD, threads=t, **kwargs)
-            for t in (1, 4, 8)
-        ]
+        reports = [grid_search(medium_cohort, Metric.JACCARD, **kwargs) for _ in range(3)]
         assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan")])
@@ -359,6 +356,9 @@ class TestDistancesMatchCohort:
         with pytest.raises(ValueError, match="jaccard, not manhattan"):
             evaluate_grid(medium_cohort, Metric.MANHATTAN, (1.0,), (0.05,),
                           distances=medium_distances)
+        gower = Hyperparameters(radius=0.5, p_threshold=0.05, metric=Metric.GOWER)
+        with pytest.raises(ValueError, match="jaccard, not gower"):
+            loo_evaluate(medium_cohort, gower, medium_distances)
 
 
 def refuse_matrix(*args, **kwargs):
