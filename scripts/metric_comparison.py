@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from fill import report
-from fill.distance import Metric, distance_matrix
+from fill.distance import Metric
 from fill.synth import default_spec, synth_cohort
 from fill.tune import precision_yield_frontier
 
@@ -29,10 +29,7 @@ def main():
     cohort = synth_cohort(default_spec(seed=args.seed))
     summary = {}
     for metric in (Metric.JACCARD, Metric.MANHATTAN, Metric.GOWER):
-        distances = distance_matrix(cohort, metric)
-        points = precision_yield_frontier(
-            cohort, metric, thresholds=FLOORS, distances=distances
-        )
+        points = precision_yield_frontier(cohort, metric, thresholds=FLOORS)
         summary[metric.value] = report.frontier_tree(points)
         for p in points:
             if p.feasible:

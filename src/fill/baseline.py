@@ -13,6 +13,12 @@ import numpy as np
 from .cohort import Cohort, Label
 from .errors import Diverged, SchemaMismatch, SingleClass
 
+# IRLS stops after _MAX_ITER Newton steps, or once no weight moves by
+# _TOL; _RIDGE is the L2 penalty on every weight but the intercept.
+_MAX_ITER = 100
+_TOL = 1e-8
+_RIDGE = 1e-6
+
 
 @dataclass(frozen=True)
 class LogisticModel:
@@ -40,19 +46,14 @@ def design_matrix(cohort: Cohort) -> np.ndarray:
     return np.hstack(cols)
 
 
-def _penalized_ll(X, y, w, ridge):
+def _penalized_ll(X, y, w):
     eta = X @ w
     # log-likelihood via logaddexp keeps saturated records finite
     ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    return ll - 0.5 * ridge * float(np.sum(w[:-1] ** 2))
+    return ll - 0.5 * _RIDGE * float(np.sum(w[:-1] ** 2))
 
 
-def fit_logistic(
-    cohort: Cohort,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    ridge: float = 1e-6,
-) -> LogisticModel:
+def fit_logistic(cohort: Cohort) -> LogisticModel:
     """Ridge-penalized IRLS fit on the labeled records.
 
     The intercept is not penalized. Newton steps are halved whenever they
@@ -65,13 +66,13 @@ def fit_logistic(
         raise SingleClass("need labeled records from both classes")
     X = design_matrix(cohort)[labeled]
     n_weights = X.shape[1]
-    penalty = np.full(n_weights, ridge)
+    penalty = np.full(n_weights, _RIDGE)
     penalty[-1] = 0.0
     w = np.zeros(n_weights)
-    ll = _penalized_ll(X, y, w, ridge)
+    ll = _penalized_ll(X, y, w)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         eta = X @ w
         mu = 1.0 / (1.0 + np.exp(-eta))
         grad = X.T @ (y - mu) - penalty * w
@@ -86,16 +87,16 @@ def fit_logistic(
         scale = 1.0
         for _ in range(30):
             candidate = w + scale * step
-            cand_ll = _penalized_ll(X, y, candidate, ridge)
+            cand_ll = _penalized_ll(X, y, candidate)
             if cand_ll >= ll or scale < 1e-9:
                 break
             scale *= 0.5
         delta = scale * step
         w = w + delta
-        ll = _penalized_ll(X, y, w, ridge)
+        ll = _penalized_ll(X, y, w)
         if not np.all(np.isfinite(w)):
             raise Diverged("non-finite weights")
-        if float(np.max(np.abs(delta))) < tol:
+        if float(np.max(np.abs(delta))) < _TOL:
             converged = True
             break
     return LogisticModel(weights=w, converged=converged, iterations=iterations)
@@ -118,24 +119,17 @@ def optimal_cutoff(scores, labels) -> float:
     POS iff score >= cutoff. Ties go to the candidate nearest 0.5, then
     to the smaller cutoff.
     """
-    scores = [float(s) for s in scores]
-    labels = list(labels)
-    if not scores or len(scores) != len(labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    is_pos = np.array([lab is Label.POS for lab in labels], dtype=bool)
+    if not scores.size or scores.shape != is_pos.shape:
         raise ValueError("scores and labels must be non-empty and aligned")
-    is_pos = [lab is Label.POS for lab in labels]
-    if all(is_pos) or not any(is_pos):
+    if is_pos.all() or not is_pos.any():
         raise SingleClass("optimal cutoff needs both classes")
-    best = None
-    for cand in sorted(set(scores) | {0.5}):
-        errors = sum(
-            1
-            for s, pos in zip(scores, is_pos)
-            if (s >= cand) != pos
-        )
-        key = (errors, abs(cand - 0.5), cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    cand = np.unique(np.append(scores, 0.5))
+    # errors: POS scored below the cutoff plus NEG scored at or above it
+    neg = np.sort(scores[~is_pos])
+    errors = np.sort(scores[is_pos]).searchsorted(cand) + neg.size - neg.searchsorted(cand)
+    return float(cand[np.lexsort((cand, np.abs(cand - 0.5), errors))[0]])
 
 
 def c_statistic(scores, labels) -> float:
@@ -146,16 +140,11 @@ def c_statistic(scores, labels) -> float:
     n_neg = is_pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("c-statistic needs both classes")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    sorted_scores = scores[order]
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # a run of ties at 0-based positions i..j shares the 1-based midrank
+    # 0.5 * (i + j) + 1, where i + j = 2 * ends - counts - 1
+    ranks = (0.5 * (2 * ends - counts - 1) + 1.0)[inverse]
     rank_sum = float(ranks[is_pos].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

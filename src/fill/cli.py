@@ -25,7 +25,7 @@ from .cohort import (
     select_features,
     write_cohort,
 )
-from .distance import DistanceMatrix, Metric, distance_matrix
+from .distance import Metric, distance_matrix
 from .errors import FillError, NoFeasibleCell, UsageError
 from .explain import explain_record
 from .synth import default_spec, synth_cohort_with_truth, write_truth
@@ -201,12 +201,11 @@ def _hyperparameters(cfg: RunConfig, metric: Metric) -> Hyperparameters:
         raise UsageError(str(exc)) from None
 
 
-def _fixed_model_inputs(cfg: RunConfig) -> tuple[Cohort, Hyperparameters, Path, DistanceMatrix]:
+def _fixed_model_inputs(cfg: RunConfig) -> tuple[Cohort, Hyperparameters, Path]:
     """Shared start of the commands that run at a fixed S and T."""
     cohort = load_input(cfg)
     hp = _hyperparameters(cfg, _metric(cfg))
-    out = _out_dir(cfg)
-    return cohort, hp, out, distance_matrix(cohort, hp.metric)
+    return cohort, hp, _out_dir(cfg)
 
 
 def cmd_tune(cfg: RunConfig) -> int:
@@ -250,8 +249,8 @@ def cmd_tune(cfg: RunConfig) -> int:
 
 
 def cmd_loo(cfg: RunConfig) -> int:
-    cohort, hp, out, distances = _fixed_model_inputs(cfg)
-    metrics = loo_evaluate(cohort, hp, distances)
+    cohort, hp, out = _fixed_model_inputs(cfg)
+    metrics = loo_evaluate(cohort, hp)
     report.write_tree(
         {
             "radius": hp.radius,
@@ -273,7 +272,8 @@ def cmd_loo(cfg: RunConfig) -> int:
 
 
 def cmd_impute(cfg: RunConfig) -> int:
-    cohort, hp, out, distances = _fixed_model_inputs(cfg)
+    cohort, hp, out = _fixed_model_inputs(cfg)
+    distances = distance_matrix(cohort, hp.metric)
     model = FillModel.fit(cohort, hp)
     results = impute_unknowns(cohort, model, distances)
     report.write_imputations(results, out / "imputations.csv")
@@ -297,7 +297,8 @@ def cmd_impute(cfg: RunConfig) -> int:
 
 
 def cmd_explain(cfg: RunConfig, record_ids) -> int:
-    cohort, hp, out, distances = _fixed_model_inputs(cfg)
+    cohort, hp, out = _fixed_model_inputs(cfg)
+    distances = distance_matrix(cohort, hp.metric)
     model = FillModel.fit(cohort, hp)
 
     unique_ids = []
@@ -457,9 +458,6 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -270,14 +270,13 @@ def bh_fdr(pvals) -> list:
     m = len(pvals)
     if m == 0:
         return []
-    order = sorted(range(m), key=lambda i: pvals[i])
-    adjusted = [0.0] * m
-    running = 1.0
-    for rank in range(m, 0, -1):
-        i = order[rank - 1]
-        # at the top rank the scale factor is exactly 1: using pvals[i]
-        # directly keeps adjusted >= raw, which p*m/m can round away from
-        candidate = pvals[i] if rank == m else min(1.0, pvals[i] * m / rank)
-        running = min(running, candidate)
-        adjusted[i] = running
-    return adjusted
+    values = np.asarray(pvals, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    candidate = np.minimum(1.0, ranked * m / np.arange(1, m + 1))
+    # at the top rank the scale factor is exactly 1: using the raw p
+    # keeps adjusted >= raw, which p*m/m can round away from
+    candidate[-1] = ranked[-1]
+    adjusted = np.empty(m)
+    adjusted[order] = np.minimum.accumulate(candidate[::-1])[::-1]
+    return adjusted.tolist()

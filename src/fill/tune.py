@@ -216,9 +216,9 @@ def _grid_metrics(cohort, counts, radii, thresholds) -> list[LooMetrics]:
 
 
 def loo_evaluate(
-    cohort: Cohort, hp: Hyperparameters, distances: DistanceMatrix
+    cohort: Cohort, hp: Hyperparameters, distances: DistanceMatrix | None = None
 ) -> LooMetrics:
-    """Leave-one-out counts for one hyperparameter pair: the 1 x 1 grid."""
+    """Leave-one-out counts for one hyperparameter pair: the 1 x 1 `evaluate_grid`."""
     return evaluate_grid(cohort, hp.metric, (hp.radius,), (hp.p_threshold,), distances)[0].metrics
 
 
@@ -307,19 +307,22 @@ def evaluate_grid(
 ) -> tuple[GridCell, ...]:
     """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
 
-    Without `distances`, a Jaccard or Manhattan cohort is counted from
-    pair codes and no n x n matrix is built (see `_codes_fit`); Gower
-    builds the matrix. Both sources give the same counts, so the same
-    cells.
+    The cohort and metric choose the count path, never `distances`: a
+    Jaccard or Manhattan cohort whose code tables fit (`_codes_fit`) is
+    counted from pair codes, and a passed matrix is only checked to cover
+    the cohort in this metric; Gower, and binary cohorts whose tables do
+    not fit, are counted from sorted matrix rows, building the matrix when
+    none is passed. Both paths give the same cells.
     """
-    if distances is None and _codes_fit(cohort, metric):
+    if distances is not None:
+        distances.require_cover(cohort, metric)
+    if _codes_fit(cohort, metric):
         values = code_values(cohort, metric)
         default_radii = partial(_code_radius_grid, cohort, values)
         counts = partial(_code_counts, cohort, values)
     else:
         if distances is None:
             distances = distance_matrix(cohort, metric)
-        distances.require_cover(cohort, metric)
         default_radii = partial(default_radius_grid, cohort, distances)
         counts = partial(_neighborhood_counts, cohort, distances)
     if radius_grid is None:

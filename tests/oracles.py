@@ -136,6 +136,51 @@ def naive_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def loop_c_statistic(scores, labels):
+    """Mann-Whitney U / (n_pos n_neg), midranks walked over sorted ties."""
+    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    ranks = [0.0] * len(scores)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        for k in order[i : j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    is_pos = [lab is Label.POS for lab in labels]
+    n_pos = sum(is_pos)
+    rank_sum = float(np.sum([r for r, pos in zip(ranks, is_pos) if pos]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (len(scores) - n_pos))
+
+
+def loop_optimal_cutoff(scores, labels):
+    """The least (errors, |cutoff - 0.5|, cutoff) over every candidate."""
+    best = None
+    for cand in sorted(set(float(s) for s in scores) | {0.5}):
+        errors = sum(1 for s, lab in zip(scores, labels) if (s >= cand) != (lab is Label.POS))
+        key = (errors, abs(cand - 0.5), cand)
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+# --- multiple testing, step-up loop ---
+
+def loop_bh_fdr(pvals):
+    """Benjamini-Hochberg walked from the top rank down, one p at a time."""
+    m = len(pvals)
+    order = sorted(range(m), key=lambda i: pvals[i])
+    adjusted = [0.0] * m
+    running = 1.0
+    for rank in range(m, 0, -1):
+        i = order[rank - 1]
+        candidate = pvals[i] if rank == m else min(1.0, pvals[i] * m / rank)
+        running = min(running, candidate)
+        adjusted[i] = running
+    return adjusted
+
+
 # --- brute-force leave-one-out over a cohort ---
 
 def _naive_distance(cohort, metric_name, i, j):

@@ -14,7 +14,7 @@ from fill.cohort import Label
 from fill.errors import SchemaMismatch, SingleClass
 
 from conftest import make_cohort, random_cohort
-from oracles import naive_auc
+from oracles import loop_c_statistic, loop_optimal_cutoff, naive_auc
 
 POS, NEG = Label.POS, Label.NEG
 
@@ -103,6 +103,16 @@ class TestOptimalCutoff:
                 return sum(1 for s, l in zip(scores, labels) if (s >= c) != (l is POS))
             assert errors(cut) <= errors(0.5)
 
+    def test_equals_candidate_loop(self):
+        rng = np.random.default_rng(71)
+        for n in list(range(2, 40)) * 8:
+            # rounding makes ties, and 0.5 is sometimes a score itself
+            scores = rng.random(n).round(int(rng.integers(1, 4))).tolist()
+            labels = [POS if rng.random() < 0.4 else NEG for _ in range(n)]
+            if all(l is POS for l in labels) or all(l is NEG for l in labels):
+                continue
+            assert optimal_cutoff(scores, labels) == loop_optimal_cutoff(scores, labels)
+
     def test_single_class(self):
         with pytest.raises(SingleClass):
             optimal_cutoff([0.4, 0.6], [POS, POS])
@@ -124,6 +134,7 @@ class TestCStatistic:
             assert c_statistic(scores, labels) == pytest.approx(
                 naive_auc(scores, labels), abs=1e-12
             )
+            assert c_statistic(scores, labels) == loop_c_statistic(scores, labels)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(59)

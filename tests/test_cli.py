@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fill.cli
 import fill.tune
 from fill.cli import main, parse_config_file, parse_schema_spec, build_config
 
@@ -389,6 +390,27 @@ class TestLooAndBaselineCommands:
         assert set(report) == {
             "radius", "p_threshold", "metric", "tp", "fp", "precision", "yield"
         }
+
+    def test_loo_jaccard_builds_no_distance_matrix(self, synth_dir, tmp_path, monkeypatch):
+        def loo(out):
+            argv = [
+                "loo", "--input", str(synth_dir / "synthetic_cohort.csv"),
+                "--metric", "jaccard", "--radius", "0.5", "--pvalue", "0.01",
+                "--out", str(out),
+            ]
+            assert run(argv) == 0
+            return (out / "loo_report.json").read_bytes()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+            expected = loo(tmp_path / "matrix")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fill loo built the n x n distance matrix")
+
+        monkeypatch.setattr(fill.cli, "distance_matrix", refuse)
+        monkeypatch.setattr(fill.tune, "distance_matrix", refuse)
+        assert loo(tmp_path / "codes") == expected
 
     def test_baseline_report_bracket_convention(self, synth_dir, tmp_path):
         out = tmp_path / "base"

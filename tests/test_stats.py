@@ -20,6 +20,7 @@ from oracles import (
     direct_binom_sf,
     exact_binom_sf,
     exact_fisher_p,
+    loop_bh_fdr,
     quad_t_two_tailed,
     welch_df,
 )
@@ -330,6 +331,16 @@ class TestBhFdr:
     def test_invalid(self):
         with pytest.raises(InvalidArguments):
             bh_fdr([0.5, 1.2])
+
+    @given(st.lists(st.sampled_from([0.0, 1e-300, 0.01, 0.05, 0.5, 1.0]) | st.floats(0, 1),
+                    min_size=1, max_size=60))
+    @settings(deadline=None)
+    def test_equals_step_up_loop(self, pvals):
+        assert bh_fdr(pvals) == loop_bh_fdr(pvals)
+
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidArguments):
+            bh_fdr([0.5, float("nan")])
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=40))
     @settings(deadline=None)

@@ -365,8 +365,20 @@ def refuse_matrix(*args, **kwargs):
     raise AssertionError("the grid built an n x n distance matrix")
 
 
+def refuse_matrix_path(*args, **kwargs):
+    raise AssertionError("the grid took the sorted-row path")
+
+
+def matrix_path_cells(cohort, metric, radii, distances):
+    """evaluate_grid's cells with the sorted-row path forced."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+        return evaluate_grid(cohort, metric, radii, distances=distances)
+
+
 class TestCodeCounts:
-    """evaluate_grid without a matrix counts Jaccard and Manhattan from pair codes."""
+    """evaluate_grid counts Jaccard and Manhattan from pair codes, with or
+    without a passed matrix."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -394,7 +406,7 @@ class TestCodeCounts:
         radii = data.draw(st.none() | st.lists(
             st.sampled_from(values + [0.0, 0.5, float("inf")]), min_size=1, max_size=5
         ))
-        expected = evaluate_grid(cohort, metric, radii, distances=dm)
+        expected = matrix_path_cells(cohort, metric, radii, dm)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
             assert evaluate_grid(cohort, metric, radii) == expected
@@ -404,11 +416,32 @@ class TestCodeCounts:
         rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 1]]
         cohort = make_cohort(rows * 5, ["POS", "NEG", "POS", "NEG", "UNKNOWN"] * 5)
         dm = distance_matrix(cohort, Metric.JACCARD)
-        expected = evaluate_grid(cohort, Metric.JACCARD, distances=dm)
+        expected = matrix_path_cells(cohort, Metric.JACCARD, None, dm)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
             assert evaluate_grid(cohort, Metric.JACCARD) == expected
         assert 0.5 in {cell.radius for cell in expected}
+
+    @pytest.mark.parametrize("metric", [Metric.JACCARD, Metric.MANHATTAN])
+    def test_passed_matrix_is_not_read(self, medium_cohort, metric):
+        dm = distance_matrix(medium_cohort, metric)
+        expected = matrix_path_cells(medium_cohort, metric, None, dm)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+            frontier = precision_yield_frontier(medium_cohort, metric, distances=dm)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fill.tune, "_neighborhood_counts", refuse_matrix_path)
+            patch.setattr(fill.tune, "default_radius_grid", refuse_matrix_path)
+            assert evaluate_grid(medium_cohort, metric, distances=dm) == expected
+            report = grid_search(
+                medium_cohort, metric, criterion=CriterionB(0.0), distances=dm
+            )
+            assert report.grid == expected
+            assert precision_yield_frontier(medium_cohort, metric, distances=dm) == frontier
+            # one threshold per radius: every radius of the grid
+            for cell in expected[:: len(default_threshold_grid())]:
+                pair = Hyperparameters(cell.radius, cell.p_threshold, metric)
+                assert loo_evaluate(medium_cohort, pair, dm) == cell.metrics
 
     @given(
         pairs=st.lists(
