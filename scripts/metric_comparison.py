@@ -32,14 +32,15 @@ def main():
         points = precision_yield_frontier(cohort, metric, thresholds=FLOORS)
         summary[metric.value] = report.frontier_tree(points)
         for p in points:
-            if p.feasible:
-                print(
-                    f"{metric.value:9s} floor={p.min_precision:.2f} "
-                    f"precision={p.achieved_precision:.4f} "
-                    f"tp={p.true_positives} yield={p.yield_proportion:.4f}"
-                )
-            else:
+            if p.winner is None:
                 print(f"{metric.value:9s} floor={p.min_precision:.2f} infeasible")
+                continue
+            m = p.winner.metrics
+            print(
+                f"{metric.value:9s} floor={p.min_precision:.2f} "
+                f"precision={m.precision:.4f} "
+                f"tp={m.true_positives} yield={m.yield_proportion:.4f}"
+            )
     report.write_tree(summary, out / "frontiers.json")
     print(f"wrote {out / 'frontiers.json'}")
 

@@ -50,22 +50,22 @@ def main():
     distances = distance_matrix(cohort, metric)
     print(f"distance matrix built ({distances.degenerate_pairs} degenerate pairs)")
 
+    winners = {}
     for name, crit in (
         ("criterion_a", CriterionA(min_tp=10)),
         ("criterion_b", CriterionB(min_precision=args.min_precision)),
     ):
         try:
             res = grid_search(cohort, metric, criterion=crit, distances=distances)
+            grid, w = res.grid, res.winner
         except NoFeasibleCell as exc:
-            report.write_tree(
-                report.infeasible_report_tree(crit, exc.grid),
-                out / f"{name}_report.json",
-            )
+            grid, w = exc.grid, None
+        report.write_tree(report.grid_report_tree(crit, grid, w), out / f"{name}_report.json")
+        report.write_grid_table(grid, out / f"{name}_table.csv")
+        winners[name] = w
+        if w is None:
             print(f"{name}: no feasible cell")
             continue
-        report.write_tree(report.grid_report_tree(res), out / f"{name}_report.json")
-        report.write_grid_table(res.grid, out / f"{name}_table.csv")
-        w = res.winner
         print(
             f"{name}: S={w.radius:.4f} T={w.p_threshold:g} "
             f"tp={w.metrics.true_positives} fp={w.metrics.false_positives} "
@@ -75,10 +75,9 @@ def main():
     points = precision_yield_frontier(cohort, metric, distances=distances)
     report.write_tree({"frontier": report.frontier_tree(points)}, out / "frontier.json")
 
-    winner = grid_search(
-        cohort, metric, criterion=CriterionB(min_precision=args.min_precision),
-        distances=distances,
-    ).winner
+    winner = winners["criterion_b"]
+    if winner is None:
+        sys.exit("criterion_b has no feasible cell: nothing to impute")
     hp = Hyperparameters(winner.radius, winner.p_threshold, metric)
     model = FillModel.fit(cohort, hp)
     results = impute_unknowns(cohort, model, distances)
@@ -97,7 +96,7 @@ def main():
             print(f"explain {r.record_id}: {exc}", file=sys.stderr)
             continue
         explanations.append(expl)
-        report.write_volcano(expl, out / f"volcano_{r.record_id}.csv")
+        report.write_volcano(expl, out / report.volcano_name(r.record_id))
     report.write_top_features(explanations, out / "top_features.csv")
 
     logistic = fit_logistic(cohort)

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or input error, 2 no feasible grid cell.
 """
 
 import argparse
+import math
 import sys
 import typing
 from dataclasses import dataclass, fields
@@ -29,7 +30,7 @@ from .distance import Metric, distance_matrix
 from .errors import FillError, NoFeasibleCell, UsageError
 from .explain import explain_record
 from .synth import default_spec, synth_cohort_with_truth, write_truth
-from .tune import CriterionA, CriterionB, grid_search, loo_evaluate
+from .tune import CriterionA, CriterionB, LooMetrics, grid_search, loo_evaluate
 
 
 @dataclass
@@ -108,6 +109,12 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
+def _require_finite(name: str, *values: float) -> None:
+    """Reject NaN and infinities, which no JSON report can hold."""
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{name} must be finite")
+
+
 def parse_grid(text: str | None, name: str):
     if text is None:
         return None
@@ -115,9 +122,11 @@ def parse_grid(text: str | None, name: str):
     if not items:
         raise UsageError(f"{name} must be a non-empty comma-separated list")
     try:
-        return tuple(float(v) for v in items)
+        values = tuple(float(v) for v in items)
     except ValueError:
         raise UsageError(f"{name} contains a non-number") from None
+    _require_finite(name, *values)
+    return values
 
 
 def parse_schema_spec(spec: str) -> dict:
@@ -196,9 +205,11 @@ def _hyperparameters(cfg: RunConfig, metric: Metric) -> Hyperparameters:
     if cfg.radius is None or cfg.pvalue is None:
         raise UsageError("--radius and --pvalue are required for this command")
     try:
-        return Hyperparameters(radius=cfg.radius, p_threshold=cfg.pvalue, metric=metric)
+        hp = Hyperparameters(radius=cfg.radius, p_threshold=cfg.pvalue, metric=metric)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _require_finite("radius", hp.radius)
+    return hp
 
 
 def _fixed_model_inputs(cfg: RunConfig) -> tuple[Cohort, Hyperparameters, Path]:
@@ -206,6 +217,13 @@ def _fixed_model_inputs(cfg: RunConfig) -> tuple[Cohort, Hyperparameters, Path]:
     cohort = load_input(cfg)
     hp = _hyperparameters(cfg, _metric(cfg))
     return cohort, hp, _out_dir(cfg)
+
+
+def _metrics_text(m: LooMetrics) -> str:
+    return (
+        f"tp={m.true_positives} fp={m.false_positives} "
+        f"precision={report.g17_or_na(m.precision)} yield={report.g17(m.yield_proportion)}"
+    )
 
 
 def cmd_tune(cfg: RunConfig) -> int:
@@ -217,33 +235,23 @@ def cmd_tune(cfg: RunConfig) -> int:
     if cfg.criterion == "a":
         criterion = CriterionA(min_tp=cfg.min_tp)
     elif cfg.criterion == "b":
+        _require_finite("min_precision", cfg.min_precision)
         criterion = CriterionB(min_precision=cfg.min_precision)
     else:
         raise UsageError(f"criterion must be a or b, not {cfg.criterion!r}")
     try:
-        result = grid_search(
-            cohort,
-            metric,
-            radius_grid,
-            threshold_grid,
-            criterion,
-        )
+        result = grid_search(cohort, metric, radius_grid, threshold_grid, criterion)
+        grid, winner = result.grid, result.winner
     except NoFeasibleCell as exc:
-        report.write_tree(
-            report.infeasible_report_tree(criterion, exc.grid),
-            out / "grid_report.json",
-        )
-        report.write_grid_table(exc.grid, out / "grid_table.csv")
+        grid, winner = exc.grid, None
+    report.write_tree(report.grid_report_tree(criterion, grid, winner), out / "grid_report.json")
+    report.write_grid_table(grid, out / "grid_table.csv")
+    if winner is None:
         print("no feasible grid cell; report written", file=sys.stderr)
         return 2
-    report.write_tree(report.grid_report_tree(result), out / "grid_report.json")
-    report.write_grid_table(result.grid, out / "grid_table.csv")
-    w = result.winner
-    precision = "NA" if w.metrics.precision is None else report.g17(w.metrics.precision)
     print(
-        f"winner: S={report.g17(w.radius)} T={report.g17(w.p_threshold)} "
-        f"tp={w.metrics.true_positives} fp={w.metrics.false_positives} "
-        f"precision={precision} yield={report.g17(w.metrics.yield_proportion)}"
+        f"winner: S={report.g17(winner.radius)} T={report.g17(winner.p_threshold)} "
+        + _metrics_text(winner.metrics)
     )
     return 0
 
@@ -263,11 +271,7 @@ def cmd_loo(cfg: RunConfig) -> int:
         },
         out / "loo_report.json",
     )
-    precision = "NA" if metrics.precision is None else report.g17(metrics.precision)
-    print(
-        f"loo: tp={metrics.true_positives} fp={metrics.false_positives} "
-        f"precision={precision} yield={report.g17(metrics.yield_proportion)}"
-    )
+    print("loo: " + _metrics_text(metrics))
     return 0
 
 
@@ -314,6 +318,7 @@ def cmd_explain(cfg: RunConfig, record_ids) -> int:
     statuses = []
     for rid in unique_ids:
         try:
+            volcano = out / report.volcano_name(rid)
             expl = explain_record(rid, cohort, model, distances)
         except FillError as exc:
             statuses.append({"record_id": rid, "status": "error", "reason": str(exc)})
@@ -324,7 +329,7 @@ def cmd_explain(cfg: RunConfig, record_ids) -> int:
             {"record_id": rid, "status": "ok", "neighbors": expl.neighbor_count,
              "significant": len(expl.significant)}
         )
-        report.write_volcano(expl, out / f"volcano_{rid}.csv")
+        report.write_volcano(expl, volcano)
     report.write_top_features(explanations, out / "top_features.csv")
     report.write_tree({"records": statuses}, out / "explain_report.json")
     return 0 if explanations else 1
@@ -445,19 +450,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        if args.command == "tune":
-            return cmd_tune(cfg)
-        if args.command == "impute":
-            return cmd_impute(cfg)
-        if args.command == "explain":
-            return cmd_explain(cfg, args.records)
-        if args.command == "loo":
-            return cmd_loo(cfg)
-        if args.command == "baseline":
-            return cmd_baseline(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        run = {
+            "tune": cmd_tune,
+            "impute": cmd_impute,
+            "explain": lambda c: cmd_explain(c, args.records),
+            "loo": cmd_loo,
+            "baseline": cmd_baseline,
+            "synth": cmd_synth,
+        }[args.command]
+        return run(cfg)
     except FillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -142,7 +142,7 @@ class DistanceMatrix:
         order, and the values are in metric's units."""
         if self.metric is not metric:
             raise ValueError(f"distance matrix is {self.metric.value}, not {metric.value}")
-        if self.ids != cohort.ids:
+        if self.ids is not cohort.ids and self.ids != cohort.ids:
             raise ValueError("distance matrix does not cover this cohort")
 
 
@@ -153,22 +153,13 @@ def _require_binary_schema(cohort: Cohort, metric: Metric) -> None:
         )
 
 
-def _cohort_block(cohort: Cohort, metric: Metric, rows):
-    """Distances from the records `rows` selects to every record."""
-    _require_binary_schema(cohort, metric)
-    return _block(
-        cohort.binary[rows],
-        cohort.binary,
-        metric,
-        cohort.continuous[rows],
-        cohort.continuous,
-        cohort.continuous_ranges,
-    )
-
-
 def distance_matrix(cohort: Cohort, metric: Metric) -> DistanceMatrix:
     """Materialize the full n x n matrix for the chosen metric."""
-    values, empty = _cohort_block(cohort, metric, slice(None))
+    _require_binary_schema(cohort, metric)
+    values, empty = _block(
+        cohort.binary, cohort.binary, metric,
+        cohort.continuous, cohort.continuous, cohort.continuous_ranges,
+    )
     np.fill_diagonal(values, 0.0)
     # empty is symmetric: off-diagonal cells count each unordered pair twice
     degenerate = (np.count_nonzero(empty) - np.count_nonzero(empty.diagonal())) // 2

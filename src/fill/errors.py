@@ -117,6 +117,10 @@ class EmptyComplement(FillError):
     pass
 
 
+class UnwritableName(FillError):
+    """A record id that cannot be part of an output file name."""
+
+
 # --- baseline ---
 
 class SingleClass(FillError):

@@ -5,17 +5,28 @@ float64 exactly and reruns are byte-comparable. Undefined precision is
 emitted as null (reports) or NA (flat tables), never as a fake 0 or 1.
 """
 
+import math
+
 from .classify import ClassificationResult
+from .errors import UnwritableName
 from .explain import NeighborhoodExplanation, format_feature_cell, top_features
-from .tune import CriterionA, FrontierPoint, GridSearchReport
+from .tune import CriterionA, FrontierPoint, GridCell
 
 
 def g17(x) -> str:
     return format(float(x), ".17g")
 
 
+def g17_or_na(x) -> str:
+    """g17, or NA for an undefined (None) number."""
+    return "NA" if x is None else g17(x)
+
+
 def dumps_tree(obj, indent: int = 0) -> str:
-    """JSON text with deterministic layout and g17 floats."""
+    """JSON text with deterministic layout and g17 floats.
+
+    Raises ValueError on a NaN or infinite float, which JSON cannot hold.
+    """
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -24,6 +35,8 @@ def dumps_tree(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON cannot hold the float {obj!r}")
         return g17(obj)
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -47,8 +60,9 @@ def dumps_tree(obj, indent: int = 0) -> str:
 
 
 def write_tree(obj, path) -> None:
+    text = dumps_tree(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_tree(obj) + "\n")
+        fh.write(text)
 
 
 def _criterion_tree(criterion):
@@ -69,20 +83,12 @@ def _cell_tree(cell):
     }
 
 
-def grid_report_tree(report: GridSearchReport) -> dict:
-    return {
-        "criterion": _criterion_tree(report.criterion),
-        "feasible": True,
-        "winner": _cell_tree(report.winner),
-        "grid": [_cell_tree(cell) for cell in report.grid],
-    }
-
-
-def infeasible_report_tree(criterion, grid) -> dict:
+def grid_report_tree(criterion, grid, winner: GridCell | None = None) -> dict:
+    """The evaluated grid and the criterion's winner; None marks no feasible cell."""
     return {
         "criterion": _criterion_tree(criterion),
-        "feasible": False,
-        "winner": None,
+        "feasible": winner is not None,
+        "winner": None if winner is None else _cell_tree(winner),
         "grid": [_cell_tree(cell) for cell in grid],
     }
 
@@ -93,11 +99,10 @@ def write_grid_table(cells, path) -> None:
         fh.write("S,T,tp,fp,precision,yield\n")
         for cell in cells:
             m = cell.metrics
-            precision = "NA" if m.precision is None else g17(m.precision)
             fh.write(
                 f"{g17(cell.radius)},{g17(cell.p_threshold)},"
                 f"{m.true_positives},{m.false_positives},"
-                f"{precision},{g17(m.yield_proportion)}\n"
+                f"{g17_or_na(m.precision)},{g17(m.yield_proportion)}\n"
             )
 
 
@@ -111,6 +116,15 @@ def write_imputations(results: list[ClassificationResult], path) -> None:
             )
 
 
+def volcano_name(record_id: str) -> str:
+    """File name of a record's volcano table: volcano_<id>.csv."""
+    if "/" in record_id or "\0" in record_id:
+        raise UnwritableName(
+            f"record id {record_id!r} cannot be part of a file name: it holds '/' or NUL"
+        )
+    return f"volcano_{record_id}.csv"
+
+
 def write_volcano(expl: NeighborhoodExplanation, path) -> None:
     """All features, including the insignificant cloud, for volcano plots."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -122,43 +136,35 @@ def write_volcano(expl: NeighborhoodExplanation, path) -> None:
             )
 
 
-def write_top_features(explanations, path, k: int = 5) -> None:
-    """One row per explained record, ranked feature cells left to right."""
-    ordinals = []
-    for i in range(1, k + 1):
-        suffix = {1: "st", 2: "nd", 3: "rd"}.get(i if i < 20 else i % 10, "th")
-        ordinals.append(f"{i}{suffix}")
+def write_top_features(explanations, path) -> None:
+    """One row per explained record, its top 5 feature cells left to right."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("record_id," + ",".join(ordinals) + "\n")
+        fh.write("record_id,1st,2nd,3rd,4th,5th\n")
         for expl in explanations:
-            cells = [format_feature_cell(c) for c in top_features(expl, k)]
-            cells += [""] * (k - len(cells))
+            cells = [format_feature_cell(c) for c in top_features(expl, 5)]
+            cells += [""] * (5 - len(cells))
             fh.write(expl.record_id + "," + ",".join(cells) + "\n")
 
 
 def frontier_tree(points: list[FrontierPoint]) -> list:
+    keys = ("achieved_precision", "yield", "tp", "radius", "p_threshold")
     out = []
     for p in points:
-        out.append(
-            {
-                "min_precision": p.min_precision,
-                "feasible": p.feasible,
-                "achieved_precision": p.achieved_precision,
-                "yield": p.yield_proportion,
-                "tp": p.true_positives,
-                "radius": p.winner_radius,
-                "p_threshold": p.winner_p_threshold,
-            }
+        w = p.winner
+        values = (None,) * len(keys) if w is None else (
+            w.metrics.precision, w.metrics.yield_proportion, w.metrics.true_positives,
+            w.radius, w.p_threshold,
         )
+        tree = {"min_precision": p.min_precision, "feasible": w is not None}
+        tree.update(zip(keys, values))
+        out.append(tree)
     return out
 
 
 def write_baseline_report(path, accuracy_pair, precision_pair, c_stat, cutoffs) -> None:
     """Accuracy/precision at the default cutoff with the optimal-cutoff
     result in brackets, one metric per line."""
-    def fmt(value):
-        return "NA" if value is None else g17(value)
-
+    fmt = g17_or_na
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"cutoff_default = {g17(cutoffs[0])}\n")
         fh.write(f"cutoff_optimal = {g17(cutoffs[1])}\n")

@@ -71,13 +71,10 @@ class GridSearchReport:
 
 @dataclass(frozen=True)
 class FrontierPoint:
+    """The criterion-B winner at one precision floor; None when no cell reaches it."""
+
     min_precision: float
-    feasible: bool
-    achieved_precision: float | None = None
-    yield_proportion: float | None = None
-    winner_radius: float | None = None
-    winner_p_threshold: float | None = None
-    true_positives: int | None = None
+    winner: GridCell | None
 
 
 def _neighborhood_counts(cohort, distances, radii):
@@ -386,19 +383,8 @@ def precision_yield_frontier(
     points = []
     for floor in list(thresholds) + [0.0]:
         try:
-            w = select_winner(cells, CriterionB(min_precision=floor))
+            winner = select_winner(cells, CriterionB(min_precision=floor))
         except NoFeasibleCell:
-            points.append(FrontierPoint(min_precision=floor, feasible=False))
-            continue
-        points.append(
-            FrontierPoint(
-                min_precision=floor,
-                feasible=True,
-                achieved_precision=w.metrics.precision,
-                yield_proportion=w.metrics.yield_proportion,
-                winner_radius=w.radius,
-                winner_p_threshold=w.p_threshold,
-                true_positives=w.metrics.true_positives,
-            )
-        )
+            winner = None
+        points.append(FrontierPoint(floor, winner))
     return points

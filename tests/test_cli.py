@@ -158,7 +158,10 @@ class TestTuneCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--radius-grid", "0.5,-1"), ("--pvalue-grid", "0.05,2"), ("--radius-grid", "0.5,nan")],
+        [
+            ("--radius-grid", "0.5,-1"), ("--pvalue-grid", "0.05,2"),
+            ("--radius-grid", "0.5,nan"), ("--radius-grid", "0.5,inf"),
+        ],
     )
     def test_bad_grid_value_usage_error(self, synth_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"
@@ -174,6 +177,7 @@ class TestTuneCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert not (out / "grid_table.csv").exists()
+        assert not (out / "grid_report.json").exists()
 
     def test_no_feasible_cell_exit_2_report_written(self, synth_dir, tmp_path):
         out = tmp_path / "nofeasible"
@@ -360,6 +364,29 @@ class TestExplainCommand:
         assert statuses["lonely"] == "error"
         assert statuses["a"] == "ok"
 
+    def test_unnameable_id_is_an_error_status(self, tmp_path, capsys):
+        rows = [[1, 0, 0], [1, 0, 1], [0, 1, 1], [0, 1, 0], [1, 1, 0]]
+        labels = ["UNKNOWN", "POS", "NEG", "POS", "NEG"]
+        cohort = make_cohort(rows, labels, ids=["r/1", "a", "b", "c", "d"])
+        path = tmp_path / "c.csv"
+        write_cohort(cohort, path)
+        out = tmp_path / "out"
+        code = run(
+            [
+                "explain", "--input", str(path), "--metric", "jaccard",
+                "--radius", "0.7", "--pvalue", "0.5", "--out", str(out),
+                "r/1", "a",
+            ]
+        )
+        assert code == 0
+        records = json.loads((out / "explain_report.json").read_text())["records"]
+        assert [r["status"] for r in records] == ["error", "ok"]
+        assert "'/'" in records[0]["reason"]
+        assert capsys.readouterr().err.startswith("error: r/1: record id 'r/1' cannot")
+        assert [p.name for p in out.glob("volcano_*.csv")] == ["volcano_a.csv"]
+        top = (out / "top_features.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in top[1:]] == ["a"]
+
     def test_all_fail_exit_1(self, tmp_path):
         rows = [[1, 0], [0, 1], [1, 1]]
         cohort = make_cohort(rows, ["POS", "NEG", "POS"])
@@ -470,3 +497,71 @@ class TestUsageErrors:
             ]
         )
         assert code == 1
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tune", "--criterion", "b", "--min-precision", "nan"],
+            ["tune", "--criterion", "b", "--min-precision", "inf"],
+            ["tune", "--criterion", "b", "--min-precision=-inf"],
+            ["loo", "--radius", "inf", "--pvalue", "0.05"],
+            ["impute", "--radius", "inf", "--pvalue", "0.05"],
+            ["explain", "--radius", "inf", "--pvalue", "0.05", "r0001"],
+        ],
+    )
+    def test_usage_error_and_no_report(self, synth_dir, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = run(
+            argv + ["--input", str(synth_dir / "synthetic_cohort.csv"),
+                    "--metric", "jaccard", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be finite" in captured.err
+        assert list(tmp_path.glob("out/*")) == []
+
+    def test_config_file_value_checked_too(self, synth_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("radius = inf\npvalue = 0.05\n", encoding="utf-8")
+        code = run(
+            ["loo", "--config", str(cfg_file), "--metric", "jaccard",
+             "--input", str(synth_dir / "synthetic_cohort.csv"), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: radius must be finite\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_every_command_writes_strict_json(tmp_path):
+    """Every .json a command writes parses with NaN and Infinity refused."""
+    cohort = tmp_path / "synth" / "synthetic_cohort.csv"
+    model = ["--input", str(cohort), "--metric", "jaccard", "--radius", "0.6", "--pvalue", "0.05"]
+    runs = [
+        (["synth", "--seed", "3", "--n-labeled", "90", "--n-unlabeled", "30",
+          "--n-features", "12", "--out", str(tmp_path / "synth")], 0),
+        (["tune", "--input", str(cohort), "--metric", "jaccard", "--criterion", "b",
+          "--min-precision", "0.5", "--out", str(tmp_path / "tune")], 0),
+        (["tune", "--input", str(cohort), "--metric", "jaccard", "--criterion", "b",
+          "--min-precision", "1", "--radius-grid", "1", "--pvalue-grid", "1e-6",
+          "--out", str(tmp_path / "infeasible")], 2),
+        (["loo", *model, "--out", str(tmp_path / "loo")], 0),
+        (["impute", *model, "--out", str(tmp_path / "impute")], 0),
+        (["explain", *model, "--out", str(tmp_path / "explain"), "r0000", "r0100"], 0),
+        (["baseline", "--input", str(cohort), "--out", str(tmp_path / "baseline")], 0),
+    ]
+    for argv, expected in runs:
+        assert run(argv) == expected, argv
+    written = sorted(tmp_path.rglob("*.json"))
+    assert [p.relative_to(tmp_path).as_posix() for p in written] == [
+        "explain/explain_report.json", "impute/impute_summary.json",
+        "infeasible/grid_report.json", "loo/loo_report.json", "tune/grid_report.json",
+    ]
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fill.cohort import load_cohort, write_cohort
 from fill.distance import (
     Metric,
     distance_matrix,
@@ -12,7 +13,7 @@ from fill.distance import (
 )
 from fill.errors import IncompatibleMetric, LengthMismatch
 
-from conftest import make_cohort, random_cohort
+from conftest import make_cohort, random_cohort, reversed_cohort
 from oracles import naive_gower, naive_jaccard, naive_manhattan
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=24)
@@ -163,6 +164,20 @@ class TestDistanceMatrix:
                 assert dm.values[i, j] == naive
         assert np.array_equal(dm.values, dm.values.T)
         assert np.all(np.diag(dm.values) == 0.0)
+
+    def test_equal_ids_of_another_cohort_are_covered(self, tmp_path):
+        cohort = make_cohort([[1, 0], [0, 1], [1, 1]], ["POS", "NEG", "UNKNOWN"])
+        path = tmp_path / "c.csv"
+        write_cohort(cohort, path)
+        loaded = load_cohort(path, cohort.schema)
+        assert loaded.ids == cohort.ids and loaded.ids is not cohort.ids
+        dm = distance_matrix(cohort, Metric.JACCARD)
+        dm.require_cover(cohort, Metric.JACCARD)
+        dm.require_cover(loaded, Metric.JACCARD)
+        with pytest.raises(ValueError, match="does not cover this cohort"):
+            dm.require_cover(reversed_cohort(loaded), Metric.JACCARD)
+        with pytest.raises(ValueError, match="jaccard, not gower"):
+            dm.require_cover(cohort, Metric.GOWER)
 
     def test_degenerate_pair_count(self):
         cohort = make_cohort([[0, 0], [0, 0], [1, 0]], ["POS", "NEG", "POS"])

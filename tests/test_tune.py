@@ -232,7 +232,7 @@ class TestFrontier:
         )
         assert len(points) == 2  # requested floor + unconstrained
         assert points[0].min_precision == 0.80
-        assert not points[0].feasible
+        assert points[0].winner is None
 
     def test_feasible_floors_nest(self, medium_cohort, medium_distances):
         points = precision_yield_frontier(
@@ -240,13 +240,13 @@ class TestFrontier:
             (0.0, 0.25, 0.5, 0.75, 1.0), (0.001, 0.01, 0.05, 0.2),
             distances=medium_distances,
         )
-        feasible = {p.min_precision: p for p in points if p.feasible}
+        feasible = {p.min_precision: p.winner.metrics for p in points if p.winner}
         floors = sorted(feasible)
         for lo, hi in zip(floors, floors[1:]):
             assert feasible[lo].true_positives >= feasible[hi].true_positives
         for p in points:
-            if p.feasible and p.min_precision > 0:
-                assert p.achieved_precision >= p.min_precision
+            if p.winner and p.min_precision > 0:
+                assert p.winner.metrics.precision >= p.min_precision
 
     def test_unconstrained_point_is_max_tp(self, medium_cohort, medium_distances):
         radii = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -263,7 +263,7 @@ class TestFrontier:
             c.metrics.true_positives for c in cells if c.metrics.precision is not None
         )
         unconstrained = [p for p in points if p.min_precision == 0.0][0]
-        assert unconstrained.true_positives == max_tp
+        assert unconstrained.winner.metrics.true_positives == max_tp
 
 
 class TestCountKernel:
