@@ -232,13 +232,16 @@ def cmd_tune(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     radius_grid = parse_grid(cfg.radius_grid, "radius_grid")
     threshold_grid = parse_grid(cfg.pvalue_grid, "pvalue_grid")
-    if cfg.criterion == "a":
-        criterion = CriterionA(min_tp=cfg.min_tp)
-    elif cfg.criterion == "b":
-        _require_finite("min_precision", cfg.min_precision)
-        criterion = CriterionB(min_precision=cfg.min_precision)
-    else:
-        raise UsageError(f"criterion must be a or b, not {cfg.criterion!r}")
+    try:
+        if cfg.criterion == "a":
+            criterion = CriterionA(min_tp=cfg.min_tp)
+        elif cfg.criterion == "b":
+            _require_finite("min_precision", cfg.min_precision)
+            criterion = CriterionB(min_precision=cfg.min_precision)
+        else:
+            raise UsageError(f"criterion must be a or b, not {cfg.criterion!r}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     try:
         result = grid_search(cohort, metric, radius_grid, threshold_grid, criterion)
         grid, winner = result.grid, result.winner

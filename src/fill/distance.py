@@ -1,10 +1,10 @@
 """Pairwise dissimilarities: Jaccard, Manhattan, and Gower.
 
-One kernel, `_block`, computes every distance: the scalar functions and
-the full matrix are 1 x 1 and n x n calls into it. Binary counts come
-from one float64 matmul whose cells are exact integers, and the Gower
-terms are added in schema order, so a given pair gets the same bits from
-every entry point.
+One kernel, `_block`, computes every distance: the scalar functions are
+1 x 1 calls into it, and the matrix and the grid take ROW_BLOCK rows at a
+time from `distance_block`. Binary counts come from one exact float64
+matmul and the Gower terms are added in schema order, so a given pair
+gets the same bits from every entry point and block shape.
 
 A Jaccard or Manhattan distance depends only on a pair's mismatch and
 union counts, so `pair_codes` can stand in for a block of distances: one
@@ -19,6 +19,9 @@ import numpy as np
 
 from .cohort import Cohort
 from .errors import IncompatibleMetric, LengthMismatch
+
+# Rows per pass of every row-blocked kernel, here and in `tune`.
+ROW_BLOCK = 256
 
 
 class Metric(Enum):
@@ -153,17 +156,27 @@ def _require_binary_schema(cohort: Cohort, metric: Metric) -> None:
         )
 
 
-def distance_matrix(cohort: Cohort, metric: Metric) -> DistanceMatrix:
-    """Materialize the full n x n matrix for the chosen metric."""
+def distance_block(cohort: Cohort, metric: Metric, rows, columns):
+    """`_block` of the records at rows against those at columns (indices or slices)."""
     _require_binary_schema(cohort, metric)
-    values, empty = _block(
-        cohort.binary, cohort.binary, metric,
-        cohort.continuous, cohort.continuous, cohort.continuous_ranges,
+    return _block(
+        cohort.binary[rows], cohort.binary[columns], metric,
+        cohort.continuous[rows], cohort.continuous[columns], cohort.continuous_ranges,
     )
+
+
+def distance_matrix(cohort: Cohort, metric: Metric) -> DistanceMatrix:
+    """Materialize the full n x n matrix for the chosen metric, in row blocks."""
+    _require_binary_schema(cohort, metric)
+    values = np.empty((len(cohort), len(cohort)))
+    degenerate = 0
+    for start in range(0, len(cohort), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        values[rows], empty = distance_block(cohort, metric, rows, slice(None))
+        degenerate += np.count_nonzero(empty) - np.count_nonzero(empty.diagonal(start))
     np.fill_diagonal(values, 0.0)
     # empty is symmetric: off-diagonal cells count each unordered pair twice
-    degenerate = (np.count_nonzero(empty) - np.count_nonzero(empty.diagonal())) // 2
-    return DistanceMatrix(cohort.ids, values, metric, degenerate)
+    return DistanceMatrix(cohort.ids, values, metric, degenerate // 2)
 
 
 def code_values(cohort: Cohort, metric: Metric) -> np.ndarray:

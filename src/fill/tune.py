@@ -13,16 +13,14 @@ import numpy as np
 
 from .classify import Hyperparameters, base_rate
 from .cohort import Cohort
-from .distance import DistanceMatrix, Metric, code_values, distance_matrix, pair_codes
+from .distance import ROW_BLOCK, DistanceMatrix, Metric, code_values, distance_block, pair_codes
+from .distance import _require_binary_schema
 from .errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
-# binom_sf is not called here; it stays importable as fill.tune.binom_sf
-# because perfbench/tracing.py wraps it and perfbench/test_check.py deletes it.
+# binom_sf and distance_matrix are not called here; they stay importable as
+# fill.tune.binom_sf and fill.tune.distance_matrix because perfbench/tracing.py
+# wraps both and perfbench/test_check.py deletes binom_sf.
+from .distance import distance_matrix  # noqa: F401
 from .stats import binom_sf, binom_tails  # noqa: F401
-
-# Rows per pass of the count, tail and decision kernels: their temporaries
-# hold _ROW_BLOCK x n_labeled, _ROW_BLOCK x (max size + 2) and
-# _ROW_BLOCK x radii x thresholds entries.
-_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -47,12 +45,20 @@ class CriterionA:
 
     min_tp: int = 10
 
+    def __post_init__(self):
+        if not isinstance(self.min_tp, (int, np.integer)) or self.min_tp < 0:
+            raise ValueError(f"min_tp must be an integer >= 0, got {self.min_tp!r}")
+
 
 @dataclass(frozen=True)
 class CriterionB:
     """Maximize true positives subject to precision >= min_precision."""
 
     min_precision: float = 0.85
+
+    def __post_init__(self):
+        if not 0.0 <= self.min_precision <= 1.0:
+            raise ValueError(f"min_precision must be in [0, 1], got {self.min_precision!r}")
 
 
 @dataclass(frozen=True)
@@ -77,14 +83,14 @@ class FrontierPoint:
     winner: GridCell | None
 
 
-def _neighborhood_counts(cohort, distances, radii):
+def _neighborhood_counts(cohort, metric, radii):
     """N[i, r] labeled and K[i, r] POS records within radii[r] of record i.
 
-    radii must be sorted ascending. Each row block's labeled and POS
-    distance columns are sorted, then one searchsorted per row counts the
-    closed ball at every radius. The record's own entry is NaN: NaN sorts
-    last and is never <= a radius, so the record stays out of its own ball
-    even at radius inf.
+    radii must be sorted ascending. Each row block's distances to the
+    labeled records are computed and sorted, labeled and POS columns
+    apart, then one searchsorted per row counts the closed ball at every
+    radius. The record's own entry is NaN: NaN sorts last and is never <=
+    a radius, so the record stays out of its own ball even at radius inf.
     """
     labeled = np.flatnonzero(cohort.labeled_mask)
     pos = np.flatnonzero(cohort.pos_mask[labeled])
@@ -92,10 +98,10 @@ def _neighborhood_counts(cohort, distances, radii):
     column_of[labeled] = np.arange(labeled.size)
     n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
     k_arr = np.empty_like(n_arr)
-    for start in range(0, len(cohort), _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, len(cohort))
-        block = distances.values[start:stop, labeled]
-        own = np.flatnonzero(column_of[start:stop] >= 0)
+    for start in range(0, len(cohort), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        block, _ = distance_block(cohort, metric, rows, labeled)
+        own = np.flatnonzero(column_of[rows] >= 0)
         block[own, column_of[start + own]] = np.nan
         for out, columns in ((n_arr, block), (k_arr, block[:, pos])):
             columns.sort(axis=1)
@@ -105,7 +111,7 @@ def _neighborhood_counts(cohort, distances, radii):
 
 
 def _code_blocks(cohort, rows):
-    """(position in rows, codes) per block of _ROW_BLOCK rows against the labeled.
+    """(position in rows, codes) per block of ROW_BLOCK rows against the labeled.
 
     Codes are `pair_codes`; a record's own column holds the sentinel code
     (F + 1)**2, one past every real code.
@@ -116,8 +122,8 @@ def _code_blocks(cohort, rows):
     column_of = np.full(len(cohort), -1)
     column_of[labeled] = np.arange(labeled.size)
     sentinel = (binary.shape[1] + 1) ** 2
-    for start in range(0, rows.size, _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
+    for start in range(0, rows.size, ROW_BLOCK):
+        block = rows[start : start + ROW_BLOCK]
         codes = pair_codes(binary[block], columns)
         own = np.flatnonzero(column_of[block] >= 0)
         codes[own, column_of[block[own]]] = sentinel
@@ -161,11 +167,11 @@ def _decision_thresholds(sizes, p0, thresholds):
     Rows are indexed by neighborhood size and filled for the given sizes
     only. Every tail table is exactly non-increasing in k, so
     P(X >= k) < T holds iff k >= k*(n, T), and k* is the number of table
-    entries >= T. Tables are built _ROW_BLOCK sizes at a time.
+    entries >= T. Tables are built ROW_BLOCK sizes at a time.
     """
     k_star = np.zeros((int(sizes.max()) + 1, len(thresholds)), dtype=np.int64)
-    for start in range(0, sizes.size, _ROW_BLOCK):
-        block = sizes[start : start + _ROW_BLOCK]
+    for start in range(0, sizes.size, ROW_BLOCK):
+        block = sizes[start : start + ROW_BLOCK]
         tails = binom_tails(block, p0)
         for t, threshold in enumerate(thresholds):
             k_star[block, t] = np.count_nonzero(tails >= threshold, axis=1)
@@ -202,8 +208,8 @@ def _grid_metrics(cohort, counts, radii, thresholds) -> list[LooMetrics]:
     n_arr, k_arr = counts(np.array(radii))
     k_star = _decision_thresholds(np.unique(n_arr), base_rate(cohort), thresholds)
     totals = np.zeros((3, len(radii), thresholds.size), dtype=np.int64)
-    for start in range(0, len(cohort), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    for start in range(0, len(cohort), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
         decided = k_arr[rows, :, None] >= k_star[n_arr[rows]]
         totals += _tally(decided, cohort.pos_mask[rows], cohort.labeled_mask[rows])
     return [
@@ -257,15 +263,17 @@ def _code_radius_grid(cohort, values) -> tuple[float, ...]:
     return _quantile_radii(distinct, counts)
 
 
-def default_radius_grid(cohort: Cohort, distances: DistanceMatrix) -> tuple[float, ...]:
+def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
     """41 evenly spaced quantiles (0%, 2.5%, ..., 100%) of labeled-pair distances."""
+    if not isinstance(metric, Metric):
+        raise TypeError(f"metric must be a Metric, not {type(metric).__name__}")
     labeled = np.flatnonzero(cohort.labeled_mask)
-    # the upper triangle in triu_indices order, _ROW_BLOCK rows at a time
+    # the upper triangle in triu_indices order, ROW_BLOCK rows at a time
     pairs = np.empty(labeled.size * (labeled.size - 1) // 2)
     at = 0
-    for start in range(0, labeled.size, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, labeled.size))
-        block = distances.values[np.ix_(labeled[rows], labeled)]
+    for start in range(0, labeled.size, ROW_BLOCK):
+        rows = np.arange(start, min(start + ROW_BLOCK, labeled.size))
+        block, _ = distance_block(cohort, metric, labeled[rows], labeled)
         upper = block[np.arange(labeled.size) > rows[:, None]]
         pairs[at : at + upper.size] = upper
         at += upper.size
@@ -304,12 +312,12 @@ def evaluate_grid(
 ) -> tuple[GridCell, ...]:
     """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
 
-    The cohort and metric choose the count path, never `distances`: a
-    Jaccard or Manhattan cohort whose code tables fit (`_codes_fit`) is
-    counted from pair codes, and a passed matrix is only checked to cover
-    the cohort in this metric; Gower, and binary cohorts whose tables do
-    not fit, are counted from sorted matrix rows, building the matrix when
-    none is passed. Both paths give the same cells.
+    The cohort and metric choose the count path: a Jaccard or Manhattan
+    cohort whose code tables fit (`_codes_fit`) is counted from pair
+    codes; Gower, and binary cohorts whose tables do not fit, from sorted
+    rows of distance blocks against the labeled records. Both paths give
+    the same cells, and neither builds the n x n matrix: a passed
+    `distances` is only checked to cover the cohort in this metric.
     """
     if distances is not None:
         distances.require_cover(cohort, metric)
@@ -318,10 +326,9 @@ def evaluate_grid(
         default_radii = partial(_code_radius_grid, cohort, values)
         counts = partial(_code_counts, cohort, values)
     else:
-        if distances is None:
-            distances = distance_matrix(cohort, metric)
-        default_radii = partial(default_radius_grid, cohort, distances)
-        counts = partial(_neighborhood_counts, cohort, distances)
+        _require_binary_schema(cohort, metric)
+        default_radii = partial(default_radius_grid, cohort, metric)
+        counts = partial(_neighborhood_counts, cohort, metric)
     if radius_grid is None:
         radius_grid = default_radii()
     if threshold_grid is None:

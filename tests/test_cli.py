@@ -3,6 +3,7 @@ import json
 import pytest
 
 import fill.cli
+import fill.distance
 import fill.tune
 from fill.cli import main, parse_config_file, parse_schema_spec, build_config
 
@@ -129,12 +130,13 @@ class TestTuneCommand:
         assert table[0] == "S,T,tp,fp,precision,yield"
         assert len(table) == 16
 
-    @pytest.mark.parametrize("metric", ["jaccard", "manhattan"])
+    @pytest.mark.parametrize("metric", ["jaccard", "manhattan", "gower"])
     def test_tune_builds_no_distance_matrix(self, synth_dir, tmp_path, monkeypatch, metric):
         def refuse(*args, **kwargs):
             raise AssertionError("fill tune built the n x n distance matrix")
 
         monkeypatch.setattr(fill.tune, "distance_matrix", refuse)
+        monkeypatch.setattr(fill.distance, "distance_matrix", refuse)
         out = tmp_path / metric
         code = run(
             [
@@ -533,6 +535,42 @@ class TestNonFiniteValues:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: radius must be finite\n"
+
+
+class TestCriterionRanges:
+    """A criterion no cell can meet, or that means nothing, is a usage error."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "criterion, key, value, message",
+        [
+            ("b", "min_precision", "2", "min_precision must be in [0, 1], got 2.0"),
+            ("b", "min_precision", "-0.5", "min_precision must be in [0, 1], got -0.5"),
+            ("a", "min_tp", "-5", "min_tp must be an integer >= 0, got -5"),
+        ],
+    )
+    def test_usage_error_before_the_grid(
+        self, synth_dir, tmp_path, capsys, monkeypatch, source, criterion, key, value, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(fill.tune, "evaluate_grid", refuse)
+        out = tmp_path / "out"
+        argv = ["tune", "--input", str(synth_dir / "synthetic_cohort.csv"),
+                "--metric", "jaccard", "--out", str(out)]
+        if source == "flag":
+            argv += ["--criterion", criterion, f"--{key.replace('_', '-')}={value}"]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"criterion = {criterion}\n{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg_file)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (out / "grid_report.json").exists()
 
 
 def reject_constant(name):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fill.cohort import load_cohort, write_cohort
 from fill.distance import (
     Metric,
+    _block,
     distance_matrix,
     gower,
     jaccard,
@@ -185,5 +186,42 @@ class TestDistanceMatrix:
         # only the all-zero/all-zero pair hits the 0/0 convention
         assert dm.degenerate_pairs == 1
         assert dm.values[0, 1] == 0.0
-        cohort = make_cohort([[0, 0]] * 4 + [[1, 1]], ["POS"] * 5)
-        assert distance_matrix(cohort, Metric.JACCARD).degenerate_pairs == 6
+        # 300 all-zero rows span two row blocks
+        for n_zero in (4, 300):
+            cohort = make_cohort([[0, 0]] * n_zero + [[1, 1]], ["POS"] * (n_zero + 1))
+            expected = n_zero * (n_zero - 1) // 2
+            assert distance_matrix(cohort, Metric.JACCARD).degenerate_pairs == expected
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    @pytest.mark.parametrize(
+        "metric, n_continuous",
+        [(Metric.JACCARD, 0), (Metric.MANHATTAN, 0), (Metric.GOWER, 0), (Metric.GOWER, 2)],
+    )
+    def test_row_blocks_match_whole_block(self, n, metric, n_continuous):
+        """Bytes and degenerate count equal one whole-cohort `_block` call."""
+        base = random_cohort(np.random.default_rng(n), n, 6, n_unknown=n // 4,
+                             n_continuous=n_continuous)
+        binary = base.binary.copy()
+        # all-zero rows straddle the block boundaries at rows 256 and 512
+        binary[250:262] = 0
+        binary[505:518] = 0
+        continuous, names = base.continuous, base.schema.continuous_names
+        if metric is Metric.GOWER:
+            # a zero-span feature carries zero weight
+            continuous = np.column_stack([continuous, np.full(n, 3.0)])
+            names += ("flat",)
+        cohort = make_cohort(
+            binary.tolist(), [lab.name for lab in base.labels],
+            continuous_rows=continuous, continuous_names=names,
+        )
+        values, empty = _block(
+            cohort.binary, cohort.binary, metric,
+            cohort.continuous, cohort.continuous, cohort.continuous_ranges,
+        )
+        np.fill_diagonal(values, 0.0)
+        degenerate = (np.count_nonzero(empty) - np.count_nonzero(empty.diagonal())) // 2
+        dm = distance_matrix(cohort, metric)
+        assert dm.values.tobytes() == values.tobytes()
+        assert dm.degenerate_pairs == degenerate
+        if metric is not Metric.MANHATTAN and n_continuous == 0:
+            assert degenerate > 0

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import fill.distance
 import fill.tune
 from fill.classify import Decision, FillModel, Hyperparameters, base_rate, classify
 from fill.cohort import Label
-from fill.distance import Metric, distance_matrix
+from fill.distance import DistanceMatrix, Metric, distance_matrix
 from fill.errors import EmptyGrid, IncompatibleMetric, InvalidGrid, NoFeasibleCell, TooFewLabeled
 from fill.synth import default_spec, synth_cohort_with_truth
 from fill.stats import binom_tail
@@ -98,6 +99,26 @@ class TestLooEvaluate:
                 assert got.yield_proportion == yld
                 assert got.true_positives + got.false_positives <= n_labeled
                 assert got.true_positives <= n_pos
+
+
+class TestCriteria:
+    @pytest.mark.parametrize("min_tp", [0, 1, np.int64(3)])
+    def test_min_tp_accepted(self, min_tp):
+        assert CriterionA(min_tp).min_tp == min_tp
+
+    @pytest.mark.parametrize("min_tp", [-1, 1.5, "3", None])
+    def test_min_tp_rejected(self, min_tp):
+        with pytest.raises(ValueError, match="min_tp must be an integer >= 0"):
+            CriterionA(min_tp)
+
+    @pytest.mark.parametrize("floor", [0.0, 0.5, 1.0])
+    def test_min_precision_accepted(self, floor):
+        assert CriterionB(floor).min_precision == floor
+
+    @pytest.mark.parametrize("floor", [-0.01, 1.01, 2.0, float("nan")])
+    def test_min_precision_rejected(self, floor):
+        with pytest.raises(ValueError, match=r"min_precision must be in \[0, 1\]"):
+            CriterionB(floor)
 
 
 class TestMetricArithmetic:
@@ -212,10 +233,10 @@ class TestGridSearch:
         sub = dm.values[np.ix_(labeled, labeled)]
         pairs = sub[np.triu_indices(labeled.size, k=1)]
         expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
-        assert default_radius_grid(cohort, dm) == expected
+        assert default_radius_grid(cohort, metric) == expected
 
     def test_default_grids(self, medium_cohort, medium_distances):
-        radii = default_radius_grid(medium_cohort, medium_distances)
+        radii = default_radius_grid(medium_cohort, Metric.JACCARD)
         assert all(r >= 0 for r in radii)
         assert list(radii) == sorted(radii)
         assert len(radii) <= 41
@@ -314,9 +335,8 @@ class TestCountKernel:
         within 1e-9 relative of a threshold may be decided either way.
         """
         cohort, _ = synth_cohort_with_truth(default_spec(1400, 600, 60, seed=seed))
-        dm = distance_matrix(cohort, Metric.JACCARD)
-        radii = np.array(default_radius_grid(cohort, dm))
-        n_arr, k_arr = _neighborhood_counts(cohort, dm, radii)
+        radii = np.array(default_radius_grid(cohort, Metric.JACCARD))
+        n_arr, k_arr = _neighborhood_counts(cohort, Metric.JACCARD, radii)
         n_used, k_used = np.unique(np.stack([n_arr.ravel(), k_arr.ravel()]), axis=1)
         p0 = base_rate(cohort)
         thresholds = default_threshold_grid()
@@ -369,11 +389,53 @@ def refuse_matrix_path(*args, **kwargs):
     raise AssertionError("the grid took the sorted-row path")
 
 
-def matrix_path_cells(cohort, metric, radii, distances):
+def matrix_path_cells(cohort, metric, radii):
     """evaluate_grid's cells with the sorted-row path forced."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
-        return evaluate_grid(cohort, metric, radii, distances=distances)
+        for module in (fill.tune, fill.distance):
+            patch.setattr(module, "distance_matrix", refuse_matrix)
+        return evaluate_grid(cohort, metric, radii)
+
+
+class TestRowBlockCounts:
+    """The sorted-row path counts from distance blocks, never from a matrix."""
+
+    def test_gower_counts_match_matrix(self):
+        rng = np.random.default_rng(11)
+        cohort = random_cohort(rng, 600, 8, n_unknown=150, n_continuous=2)
+        values = distance_matrix(cohort, Metric.GOWER).values
+        # matrix entries as radii hit the closed ball's <= tie
+        radii = np.array(sorted(
+            {0.0, values[3, 5], values[300, 580], *np.quantile(values, [0.01, 0.2]), np.inf}
+        ))
+        n_arr, k_arr = _neighborhood_counts(cohort, Metric.GOWER, radii)
+        within = values[:, :, None] <= radii
+        within[np.arange(len(cohort)), np.arange(len(cohort))] = False  # own record
+        assert np.array_equal(n_arr, within[:, cohort.labeled_mask].sum(axis=1))
+        assert np.array_equal(k_arr, within[:, cohort.pos_mask].sum(axis=1))
+
+    def test_passed_gower_matrix_is_not_read(self):
+        cohort = random_cohort(np.random.default_rng(12), 80, 6, n_unknown=20, n_continuous=2)
+        blank = DistanceMatrix(cohort.ids, np.zeros((80, 80)), Metric.GOWER)
+        expected = evaluate_grid(cohort, Metric.GOWER)
+        frontier = precision_yield_frontier(cohort, Metric.GOWER)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (fill.tune, fill.distance):
+                patch.setattr(module, "distance_matrix", refuse_matrix)
+            assert evaluate_grid(cohort, Metric.GOWER, distances=blank) == expected
+            report = grid_search(
+                cohort, Metric.GOWER, criterion=CriterionB(0.0), distances=blank
+            )
+            assert report.grid == expected
+            assert precision_yield_frontier(cohort, Metric.GOWER, distances=blank) == frontier
+            for cell in expected[:: len(default_threshold_grid())]:
+                pair = Hyperparameters(cell.radius, cell.p_threshold, Metric.GOWER)
+                assert loo_evaluate(cohort, pair, blank) == cell.metrics
+
+    def test_default_radius_grid_takes_a_metric(self, medium_cohort, medium_distances):
+        with pytest.raises(TypeError, match="metric must be a Metric, not DistanceMatrix"):
+            default_radius_grid(medium_cohort, medium_distances)
 
 
 class TestCodeCounts:
@@ -406,7 +468,7 @@ class TestCodeCounts:
         radii = data.draw(st.none() | st.lists(
             st.sampled_from(values + [0.0, 0.5, float("inf")]), min_size=1, max_size=5
         ))
-        expected = matrix_path_cells(cohort, metric, radii, dm)
+        expected = matrix_path_cells(cohort, metric, radii)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
             assert evaluate_grid(cohort, metric, radii) == expected
@@ -415,8 +477,7 @@ class TestCodeCounts:
         # Jaccard 1/2 (rows 0, 1) and 2/4 (rows 1, 2) are one radius
         rows = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 1, 1]]
         cohort = make_cohort(rows * 5, ["POS", "NEG", "POS", "NEG", "UNKNOWN"] * 5)
-        dm = distance_matrix(cohort, Metric.JACCARD)
-        expected = matrix_path_cells(cohort, Metric.JACCARD, None, dm)
+        expected = matrix_path_cells(cohort, Metric.JACCARD, None)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
             assert evaluate_grid(cohort, Metric.JACCARD) == expected
@@ -425,7 +486,7 @@ class TestCodeCounts:
     @pytest.mark.parametrize("metric", [Metric.JACCARD, Metric.MANHATTAN])
     def test_passed_matrix_is_not_read(self, medium_cohort, metric):
         dm = distance_matrix(medium_cohort, metric)
-        expected = matrix_path_cells(medium_cohort, metric, None, dm)
+        expected = matrix_path_cells(medium_cohort, metric, None)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
             frontier = precision_yield_frontier(medium_cohort, metric, distances=dm)
@@ -459,6 +520,11 @@ class TestCodeCounts:
         cohort = random_cohort(np.random.default_rng(4), 30, 3, n_continuous=1)
         with pytest.raises(IncompatibleMetric):
             evaluate_grid(cohort, metric)
+        # the sorted-row path checks the schema before the grid, too
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+            with pytest.raises(IncompatibleMetric):
+                evaluate_grid(cohort, metric, (-1.0,))
 
     @pytest.mark.parametrize("n_labeled", [0, 1])
     def test_too_few_labeled_messages_unchanged(self, n_labeled):
