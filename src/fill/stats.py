@@ -11,6 +11,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln
 
 from .errors import (
@@ -73,6 +74,51 @@ def binom_tails(sizes, p: float) -> np.ndarray:
     All rows are built in one pass, so the caller bounds the memory by the
     number of sizes it passes at once.
     """
+    sizes = _checked_sizes(sizes, p, "binom_tails")
+    return _tails(sizes.astype(np.int64)[:, None], int(sizes.max(initial=-1)), float(p))
+
+
+def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
+    """c[i, t]: the number of entries of binom_tail(sizes[i], p) that are >= thresholds[t].
+
+    A table is non-increasing, so c[i, t] is also the least k with
+    P(X >= k) < thresholds[t]. Each count equals the one read from the
+    full binom_tails row, but only a window of the row is summed (see
+    _tail_window). Thresholds must lie in (0, 1].
+    """
+    sizes = _checked_sizes(sizes, p, "binom_tail_counts")
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if thresholds.ndim != 1 or not ((thresholds > 0.0) & (thresholds <= 1.0)).all():
+        raise InvalidArguments(f"binom_tail_counts(thresholds={thresholds!r})")
+    n = sizes.astype(np.int64)[:, None]
+    p = float(p)
+    if p == 0.0 or p == 1.0 or n.size == 0:
+        return _count(_tails(n, int(sizes.max(initial=-1)), p), thresholds)
+    lo, hi = _tail_window(n, p)
+    window, edge = _window_tails(n, lo, hi, p)
+    counts = lo + _count(window, thresholds)
+    again = np.flatnonzero((lo[:, 0] > 0) & ((window[:, 0] < thresholds.max()) | edge))
+    if again.size:
+        window, _ = _window_tails(n[again], np.zeros_like(lo[again]), hi[again], p)
+        counts[again] = _count(window, thresholds)
+    return counts
+
+
+def _count(tails, thresholds):
+    # rows are non-increasing: bisect each (row, threshold) for its count,
+    # keeping tails[:a] >= threshold > tails[b:]
+    width = tails.shape[1]
+    rows = np.arange(tails.shape[0])[:, None]
+    a = np.zeros((tails.shape[0], thresholds.size), dtype=np.int64)
+    b = np.full_like(a, width)
+    for _ in range(width.bit_length()):
+        mid = (a + b) // 2
+        above = tails[rows, np.minimum(mid, width - 1)] >= thresholds
+        a, b = np.where(above, np.minimum(mid + 1, b), a), np.where(above, b, mid)
+    return a
+
+
+def _checked_sizes(sizes, p, name):
     sizes = np.asarray(sizes)
     if (
         sizes.ndim != 1
@@ -80,16 +126,19 @@ def binom_tails(sizes, p: float) -> np.ndarray:
         or not (0.0 <= p <= 1.0)
         or not math.isfinite(p)
     ):
-        raise InvalidArguments(f"binom_tails(sizes={sizes!r}, p={p})")
-    return _tails(sizes.astype(np.int64)[:, None], int(sizes.max(initial=-1)), float(p))
+        raise InvalidArguments(f"{name}(sizes={sizes!r}, p={p})")
+    return sizes
 
 
 def _tails(n, n_max, p):
-    # n is an int (one 1-D table) or a column of sizes (a padded stack).
-    # Summed from exact log-binomial coefficients with the log-sum-exp
-    # pattern: a row's shift is its largest term and its tail is one
-    # reverse cumulative sum. A running sum of non-negative terms never
-    # decreases, so a row is exactly non-increasing in k.
+    """Whole tail tables: n is an int (one 1-D table) or a column of sizes
+    (a padded stack).
+
+    _window_tails sums a window [lo, hi) of the same tables with the same
+    _log_terms and _sum_tails, and its entries are these bits: from
+    lo = mode - 2 up the shift and the reverse cumsum are unchanged, and
+    from hi up every term is an exact 0 (see _tail_window).
+    """
     stack = not isinstance(n, int)
     tails = np.zeros((n.shape[0], n_max + 2) if stack else n_max + 2)
     head = tails[..., :-1]
@@ -98,30 +147,106 @@ def _tails(n, n_max, p):
         np.multiply(j <= n, p, out=head)
     elif n_max >= 0:
         lf = _log_factorials(n_max + 1)
-        # log C(n, j) = log n! - log j! - log (n - j)!
+        # the same log terms as lf[1 + j] and lf[n + 1 - j], from views
+        log_j = lf[1 : n_max + 2]
         log_rest = lf[n + 1 - j] if stack else lf[n + 1 : 0 : -1]
-        log_terms = (
-            lf[n + 1] - lf[1 : n_max + 2] - log_rest
-            + j * math.log(p) + (n - j) * math.log1p(-p)
-        )
-        if stack:
-            # a padded j > n wraps the index above to a finite value: it is
-            # left out of the shift and its term is an exact 0, so a row is
-            # bitwise the same in any stack
-            valid = j <= n
-            shifts = log_terms.max(axis=1, keepdims=True, initial=-np.inf, where=valid)
-            terms = np.exp(log_terms - shifts, out=np.zeros_like(log_terms), where=valid)
-            # math.exp, not np.exp: the two can differ in the last place
-            scale = np.fromiter(map(math.exp, shifts.ravel().tolist()), np.float64)[:, None]
-        else:
-            shift = float(log_terms.max())
-            terms = np.exp(log_terms - shift)
-            scale = math.exp(shift)
-        np.cumsum(terms[..., ::-1], axis=-1, out=head[..., ::-1])
-        head *= scale
-        np.minimum(head, 1.0, out=head)
+        # a padded j > n wraps the index above to a finite value; it is
+        # left out of the shift and its term is an exact 0
+        valid = j <= n if stack else None
+        _sum_tails(head, _log_terms(lf, n, j, p, log_j, log_rest), valid)
     tails[..., 0] = 1.0
     return tails
+
+
+def _log_terms(lf, n, j, p, log_j=None, log_rest=None):
+    """log P(X = j) for X ~ Binomial(n, p), elementwise, with 0 < p < 1.
+
+    log C(n, j) = log n! - log j! - log (n - j)!, from lf = _log_factorials;
+    log_j and log_rest may be passed as cheaper views of lf[1 + j] and
+    lf[n + 1 - j]. Every element depends only on its own (n, j), so a term
+    has the same bits in any table, window or stack.
+    """
+    if log_j is None:
+        log_j, log_rest = lf[1 + j], lf[n + 1 - j]
+    return lf[n + 1] - log_j - log_rest + j * math.log(p) + (n - j) * math.log1p(-p)
+
+
+def _sum_tails(out, log_terms, valid=None):
+    """out[..., c] = min(1, sum of the terms at columns >= c); returns the shifts.
+
+    One row of log terms, or a stack of rows with `valid` marking the
+    columns that hold a term. The log-sum-exp pattern: a row's shift is its
+    largest term and its tail is one reverse cumulative sum, scaled back.
+    A left-out column is an exact 0, so a row has the same bits in any
+    stack, and a running sum of non-negative terms never decreases, so a
+    row is exactly non-increasing.
+    """
+    if valid is None:
+        shift = float(log_terms.max())
+        terms = np.exp(log_terms - shift)
+        scale = math.exp(shift)
+    else:
+        shift = log_terms.max(axis=1, keepdims=True, initial=-np.inf, where=valid)
+        terms = np.exp(log_terms - shift, out=np.zeros_like(log_terms), where=valid)
+        # math.exp, not np.exp: the two can differ in the last place
+        scale = np.fromiter(map(math.exp, shift.ravel().tolist()), np.float64)[:, None]
+    np.cumsum(terms[..., ::-1], axis=-1, out=out[..., ::-1])
+    out *= scale
+    np.minimum(out, 1.0, out=out)
+    return shift
+
+
+# exp(x) is an exact 0 for every double x below about -745.13
+_UNDERFLOW = -750.0
+
+
+def _tail_window(n, p):
+    """[lo, hi) per row: the k whose binom_tails entries binom_tail_counts sums.
+
+    With 0 < p < 1, the window is exact:
+    - lo = max(0, mode - 2). A row's shift is its largest term, at the
+      mode, and its reverse cumsum runs from k = n down, so the entries at
+      k >= lo have the same bits whether or not the terms below lo are
+      summed.
+    - hi is the first k above the mode whose log term is below the mode's
+      by more than 750, found by bisection. The log pmf is concave, so
+      from hi up every term is exp(< -745.13), an exact 0: it leaves the
+      cumsum's bits unchanged, and the row is 0 from hi on.
+    - binom_tail_counts sums a row again from lo = 0 when its entry at lo
+      is below the largest threshold (then an entry below lo may be, too)
+      or its window's largest term is the one at lo (then the shift may
+      lie below lo). Otherwise every entry below lo is >= every threshold.
+    """
+    lf = _log_factorials(int(n.max()) + 1)
+    mode = np.minimum(np.floor((n + 1) * p).astype(np.int64), n)
+    cut = _log_terms(lf, n, mode, p) + _UNDERFLOW
+    # the log term at a stays >= cut; b is past n, or its log term is < cut
+    a, b = mode, n + 1
+    while (b - a > 1).any():
+        mid = (a + b) // 2
+        below = _log_terms(lf, n, mid, p) < cut
+        a, b = np.where(below, a, mid), np.where(below, mid, b)
+    return np.maximum(mode - 2, 0), b
+
+
+def _window_tails(n, lo, hi, p):
+    """The tails at k = lo, ..., hi - 1 per row, 0 past hi, and whether a
+    row's largest term is the one at lo."""
+    width = int((hi - lo).max())
+    j = lo + np.arange(width, dtype=np.float64)  # exact integers, as in _tails
+    valid = j < hi
+    # the rows of lf[1 + j] and lf[n + 1 - j] are runs of the table, so
+    # they are taken as windows; a column past hi, which no sum reads, may
+    # fall in the zero padding
+    lf = _log_factorials(int((lo + width).max()) + 1)
+    log_j = sliding_window_view(lf, width)[1 + lo[:, 0]]
+    backward = np.concatenate([lf[::-1], np.zeros(width)])
+    log_rest = sliding_window_view(backward, width)[lf.size - 2 - (n - lo)[:, 0]]
+    log_terms = _log_terms(lf, n, j, p, log_j, log_rest)
+    window = np.empty(j.shape)
+    shift = _sum_tails(window, log_terms, valid)
+    window[lo[:, 0] == 0, 0] = 1.0  # P(X >= 0), as in _tails
+    return window, log_terms[:, 0] >= shift[:, 0]
 
 
 @functools.lru_cache(maxsize=256)

@@ -20,7 +20,8 @@ from .errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
 # fill.tune.binom_sf and fill.tune.distance_matrix because perfbench/tracing.py
 # wraps both and perfbench/test_check.py deletes binom_sf.
 from .distance import distance_matrix  # noqa: F401
-from .stats import binom_sf, binom_tails  # noqa: F401
+from .stats import binom_sf  # noqa: F401
+from .stats import binom_tail_counts
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,16 @@ def _decision_thresholds(sizes, p0, thresholds):
     Rows are indexed by neighborhood size and filled for the given sizes
     only. Every tail table is exactly non-increasing in k, so
     P(X >= k) < T holds iff k >= k*(n, T), and k* is the number of table
-    entries >= T. Tables are built ROW_BLOCK sizes at a time.
+    entries >= T. `binom_tail_counts` reads that number from a window of
+    each table, ROW_BLOCK sizes at a time, and gives the full table's
+    count: the entries from two below the mode up are bitwise the full
+    table's, the terms past the window are exact zeros, and a row whose
+    window could miss an entry below T is summed again from k = 0.
     """
     k_star = np.zeros((int(sizes.max()) + 1, len(thresholds)), dtype=np.int64)
     for start in range(0, sizes.size, ROW_BLOCK):
         block = sizes[start : start + ROW_BLOCK]
-        tails = binom_tails(block, p0)
-        for t, threshold in enumerate(thresholds):
-            k_star[block, t] = np.count_nonzero(tails >= threshold, axis=1)
+        k_star[block] = binom_tail_counts(block, p0, thresholds)
     return k_star
 
 
@@ -279,7 +282,9 @@ def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
         at += upper.size
     if pairs.size == 0:
         raise TooFewLabeled("no labeled pairs to build a radius grid from")
-    return _quantile_radii(*np.unique(pairs, return_counts=True))
+    # selects in place in the pair array, with no sorted copy of it
+    radii = np.quantile(pairs, np.linspace(0.0, 1.0, 41), overwrite_input=True)
+    return tuple(sorted(set(radii.tolist())))
 
 
 def default_threshold_grid() -> tuple[float, ...]:

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fill.cohort import Label
+from fill.stats import binom_tails
 
 
 # --- distances, naive double loops ---
@@ -74,6 +75,21 @@ def direct_binom_sf(k, n, p) -> float:
     for j in range(k, n + 1):
         total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
     return min(1.0, total)
+
+
+def full_table_k_star(sizes, p0, thresholds):
+    """k*[n, t] for the given sizes, counted over each whole binom_tails row.
+
+    The count of entries >= T in the full, zero-padded table of every
+    size, one threshold at a time: the k* the grid read before its tables
+    were windowed. Indexed like tune._decision_thresholds.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    k_star = np.zeros((int(sizes.max()) + 1, len(thresholds)), dtype=np.int64)
+    tails = binom_tails(sizes, p0)
+    for t, threshold in enumerate(thresholds):
+        k_star[sizes, t] = np.count_nonzero(tails >= threshold, axis=1)
+    return k_star
 
 
 # --- Fisher exact, exact integer enumeration ---

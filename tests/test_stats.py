@@ -14,7 +14,9 @@ from fill.errors import (
     ZeroVarianceBoth,
 )
 from fill import stats
-from fill.stats import bh_fdr, binom_sf, binom_tail, binom_tails, fisher_exact, welch_t
+from fill.stats import (
+    bh_fdr, binom_sf, binom_tail, binom_tail_counts, binom_tails, fisher_exact, welch_t,
+)
 
 from oracles import (
     direct_binom_sf,
@@ -118,6 +120,15 @@ class TestBinomTail:
         ):
             with pytest.raises(InvalidArguments):
                 binom_tails(sizes, p)
+
+    def test_tail_counts_invalid_arguments(self):
+        assert binom_tail_counts([], 0.3, [0.1]).shape == (0, 1)
+        for sizes, p, thresholds in (
+            ([3, -1], 0.5, [0.1]), ([3], 1.5, [0.1]), ([3], 0.5, [0.0]),
+            ([3], 0.5, [1.5]), ([3], 0.5, [[0.1]]), ([3], 0.5, [float("nan")]),
+        ):
+            with pytest.raises(InvalidArguments):
+                binom_tail_counts(sizes, p, thresholds)
 
     def test_caller_owns_its_table(self):
         expected = binom_sf(3, 10, 0.3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -8,7 +8,7 @@ import fill.distance
 import fill.tune
 from fill.classify import Decision, FillModel, Hyperparameters, base_rate, classify
 from fill.cohort import Label
-from fill.distance import DistanceMatrix, Metric, distance_matrix
+from fill.distance import ROW_BLOCK, DistanceMatrix, Metric, distance_matrix
 from fill.errors import EmptyGrid, IncompatibleMetric, InvalidGrid, NoFeasibleCell, TooFewLabeled
 from fill.synth import default_spec, synth_cohort_with_truth
 from fill.stats import binom_tail
@@ -29,7 +29,7 @@ from fill.tune import (
 )
 
 from conftest import make_cohort, random_cohort, reversed_cohort
-from oracles import brute_force_cell, brute_force_winner
+from oracles import brute_force_cell, brute_force_winner, full_table_k_star
 
 
 def hp(radius, threshold):
@@ -360,6 +360,61 @@ class TestCountKernel:
             k = np.arange(n + 2)
             for t, threshold in enumerate(thresholds):
                 assert ((k >= k_star[n, t]) == (tail < threshold)).all()
+
+
+    # sizes up to 3 000: the underflow cut engages above about n = 1 000 at p = 0.5
+    @given(
+        sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=8)
+        | st.integers(0, 600).map(lambda n_max: list(range(n_max + 1))),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        thresholds=st.lists(
+            st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0), min_size=1, max_size=4
+        ),
+    )
+    @example(sizes=[0, 1, 2], p=0.0, thresholds=[1.0, 0.5, 1e-6])
+    @example(sizes=[0, 1, 2], p=1.0, thresholds=[1.0, 0.5, 1e-6])
+    @example(sizes=[0, 1, 2], p=0.4, thresholds=[1.0, 0.5, 1e-6])
+    @example(sizes=list(range(ROW_BLOCK + 44)), p=0.43, thresholds=[1e-6, 0.1, 1.0])
+    @example(sizes=[2999, 3000, 1500, 7], p=0.5, thresholds=[1e-6, 0.05, 1.0])
+    @settings(deadline=None)
+    def test_windowed_k_star_equals_full_table(self, sizes, p, thresholds):
+        sizes = np.unique(sizes)
+        k_star = _decision_thresholds(sizes, p, thresholds)
+        assert np.array_equal(k_star, full_table_k_star(sizes, p, thresholds))
+
+
+def full_table_cells(cohort, metric):
+    """evaluate_grid's cells with k* read from whole tail tables."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fill.tune, "_decision_thresholds", full_table_k_star)
+        return evaluate_grid(cohort, metric)
+
+
+class TestWindowedTables:
+    """The grid's cells do not change when its k* tables are windowed."""
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_jaccard_cells_equal_full_table_cells(self, seed):
+        cohort, _ = synth_cohort_with_truth(default_spec(1400, 600, 60, seed=seed))
+        assert evaluate_grid(cohort, Metric.JACCARD) == full_table_cells(cohort, Metric.JACCARD)
+
+    def test_gower_cells_and_radii_over_several_blocks(self):
+        # 300 labeled records: the radius grid's pairs come from two row
+        # blocks, and continuous values from {0, 1, 2} make many tied distances
+        rng = np.random.default_rng(23)
+        cohort = random_cohort(rng, 400, 6, n_unknown=100)
+        cohort = make_cohort(
+            cohort.binary.tolist(), [label.name for label in cohort.labels],
+            continuous_rows=rng.integers(0, 3, size=(400, 2)), continuous_names=("c0", "c1"),
+        )
+        labeled = np.flatnonzero(cohort.labeled_mask)
+        assert labeled.size > ROW_BLOCK
+        values = distance_matrix(cohort, Metric.GOWER).values[np.ix_(labeled, labeled)]
+        pairs = values[np.triu_indices(labeled.size, k=1)]
+        assert np.unique(pairs).size < pairs.size // 100
+        expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
+        assert default_radius_grid(cohort, Metric.GOWER) == expected
+        assert evaluate_grid(cohort, Metric.GOWER) == full_table_cells(cohort, Metric.GOWER)
 
 
 class TestDistancesMatchCohort:
