@@ -56,7 +56,7 @@ def main():
         ("criterion_b", CriterionB(min_precision=args.min_precision)),
     ):
         try:
-            res = grid_search(cohort, metric, criterion=crit, distances=distances)
+            res = grid_search(cohort, metric, criterion=crit)
             grid, w = res.grid, res.winner
         except NoFeasibleCell as exc:
             grid, w = exc.grid, None
@@ -72,7 +72,7 @@ def main():
             f"precision={w.metrics.precision:.4f} yield={w.metrics.yield_proportion:.4f}"
         )
 
-    points = precision_yield_frontier(cohort, metric, distances=distances)
+    points = precision_yield_frontier(cohort, metric)
     report.write_tree({"frontier": report.frontier_tree(points)}, out / "frontier.json")
 
     winner = winners["criterion_b"]

@@ -5,6 +5,7 @@ float64 exactly and reruns are byte-comparable. Undefined precision is
 emitted as null (reports) or NA (flat tables), never as a fake 0 or 1.
 """
 
+import json
 import math
 
 from .classify import ClassificationResult
@@ -39,13 +40,12 @@ def dumps_tree(obj, indent: int = 0) -> str:
             raise ValueError(f"JSON cannot hold the float {obj!r}")
         return g17(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  "{key}": {dumps_tree(value, indent + 1)}'
+            f"{pad}  {dumps_tree(str(key))}: {dumps_tree(value, indent + 1)}"
             for key, value in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"

@@ -7,7 +7,6 @@ pick the same winner.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -84,81 +83,77 @@ class FrontierPoint:
     winner: GridCell | None
 
 
-def _neighborhood_counts(cohort, metric, radii):
-    """N[i, r] labeled and K[i, r] POS records within radii[r] of record i.
+def _labeled_blocks(cohort, rows, block, own):
+    """(start, block(chunk)) per ROW_BLOCK chunk of rows, start its position in rows.
 
-    radii must be sorted ascending. Each row block's distances to the
-    labeled records are computed and sorted, labeled and POS columns
-    apart, then one searchsorted per row counts the closed ball at every
-    radius. The record's own entry is NaN: NaN sorts last and is never <=
-    a radius, so the record stays out of its own ball even at radius inf.
+    block(chunk) holds the chunk's values against every labeled record, one
+    column each; a record's own column is set to own, so no record is ever
+    inside its own ball.
     """
     labeled = np.flatnonzero(cohort.labeled_mask)
-    pos = np.flatnonzero(cohort.pos_mask[labeled])
     column_of = np.full(len(cohort), -1)
     column_of[labeled] = np.arange(labeled.size)
-    n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
-    k_arr = np.empty_like(n_arr)
-    for start in range(0, len(cohort), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        block, _ = distance_block(cohort, metric, rows, labeled)
-        own = np.flatnonzero(column_of[rows] >= 0)
-        block[own, column_of[start + own]] = np.nan
-        for out, columns in ((n_arr, block), (k_arr, block[:, pos])):
-            columns.sort(axis=1)
-            for i, row in enumerate(columns, start):
-                out[i] = row.searchsorted(radii, "right")
-    return n_arr, k_arr
-
-
-def _code_blocks(cohort, rows):
-    """(position in rows, codes) per block of ROW_BLOCK rows against the labeled.
-
-    Codes are `pair_codes`; a record's own column holds the sentinel code
-    (F + 1)**2, one past every real code.
-    """
-    binary = cohort.binary.astype(np.float64)
-    labeled = np.flatnonzero(cohort.labeled_mask)
-    columns = binary[labeled]
-    column_of = np.full(len(cohort), -1)
-    column_of[labeled] = np.arange(labeled.size)
-    sentinel = (binary.shape[1] + 1) ** 2
     for start in range(0, rows.size, ROW_BLOCK):
-        block = rows[start : start + ROW_BLOCK]
-        codes = pair_codes(binary[block], columns)
-        own = np.flatnonzero(column_of[block] >= 0)
-        codes[own, column_of[block[own]]] = sentinel
-        yield start, codes
+        chunk = rows[start : start + ROW_BLOCK]
+        values = block(chunk)
+        mine = np.flatnonzero(column_of[chunk] >= 0)
+        values[mine, column_of[chunk[mine]]] = own
+        yield start, values
 
 
 def _codes_fit(cohort, metric) -> bool:
-    """True for Jaccard and Manhattan while the code tables, (F + 1)**2
-    entries for F binary features, are no larger than the n x n_labeled
-    pairs they count."""
+    """Whether the grid counts from pair codes, not from distance blocks:
+    Jaccard and Manhattan, while the code tables, (F + 1)**2 entries for F
+    binary features, are no larger than the n x n_labeled pairs they count."""
     pairs = len(cohort) * int(cohort.labeled_mask.sum())
     return metric is not Metric.GOWER and (cohort.binary.shape[1] + 1) ** 2 <= pairs
 
 
-def _code_counts(cohort, values, radii):
-    """N and K of `_neighborhood_counts`, counted from pair codes.
+def _code_source(cohort):
+    """chunk -> `pair_codes` of the records at chunk against the labeled."""
+    binary = cohort.binary.astype(np.float64)
+    columns = binary[cohort.labeled_mask]
+    return lambda chunk: pair_codes(binary[chunk], columns)
 
-    A code's bucket is the number of radii below its value, so the pair is
-    inside the ball of every radius from that bucket on; the sentinel's
-    bucket is past the last radius. Each block's buckets are counted per
-    row by one offset bincount, then summed up the radii.
+
+def _distance_source(cohort, metric):
+    """chunk -> `distance_block` of the records at chunk against the labeled."""
+    labeled = np.flatnonzero(cohort.labeled_mask)
+    return lambda chunk: distance_block(cohort, metric, chunk, labeled)[0]
+
+
+def _neighborhood_counts(cohort, metric, radii):
+    """N[i, r] labeled and K[i, r] POS records within radii[r] of record i.
+
+    radii must be sorted ascending. When the code tables fit, a pair code's
+    bucket is the number of radii below its value, so the pair is inside
+    the ball of every radius from that bucket on; a record's own column
+    takes the bucket past the last radius. Each block's buckets are counted
+    per row by one offset bincount, then summed up the radii. Otherwise each
+    row block's distances are sorted, labeled and POS columns apart, and one
+    searchsorted per row counts the closed ball at every radius; the own
+    column is NaN, which sorts last and is never <= a radius, even inf.
     """
-    width = len(radii) + 1
-    bucket = np.append(np.searchsorted(radii, values, "left"), width - 1)
     pos = np.flatnonzero(cohort.pos_mask[cohort.labeled_mask])
+    rows = np.arange(len(cohort))
     n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
     k_arr = np.empty_like(n_arr)
-    for start, codes in _code_blocks(cohort, np.arange(len(cohort))):
-        rows = slice(start, start + len(codes))
-        buckets = bucket[codes]
-        buckets += width * np.arange(len(codes))[:, None]
-        for out, columns in ((n_arr, buckets), (k_arr, buckets[:, pos])):
-            tally = np.bincount(columns.ravel(), minlength=len(codes) * width)
-            np.cumsum(tally.reshape(-1, width)[:, :-1], axis=1, out=out[rows])
+    if _codes_fit(cohort, metric):
+        width = len(radii) + 1
+        bucket = np.searchsorted(radii, code_values(cohort, metric), "left")
+        codes = _code_source(cohort)
+        for start, buckets in _labeled_blocks(cohort, rows, lambda c: bucket[codes(c)], width - 1):
+            block = slice(start, start + len(buckets))
+            buckets += width * np.arange(len(buckets))[:, None]
+            for out, columns in ((n_arr, buckets), (k_arr, buckets[:, pos])):
+                tally = np.bincount(columns.ravel(), minlength=len(buckets) * width)
+                np.cumsum(tally.reshape(-1, width)[:, :-1], axis=1, out=out[block])
+        return n_arr, k_arr
+    for start, block in _labeled_blocks(cohort, rows, _distance_source(cohort, metric), np.nan):
+        for out, columns in ((n_arr, block), (k_arr, block[:, pos])):
+            columns.sort(axis=1)
+            for i, row in enumerate(columns, start):
+                out[i] = row.searchsorted(radii, "right")
     return n_arr, k_arr
 
 
@@ -195,20 +190,20 @@ def _loo_metrics(tp: int, fp: int, newly: int, n_labeled: int) -> LooMetrics:
     return LooMetrics(tp, fp, precision, newly / n_labeled)
 
 
-def _grid_metrics(cohort, counts, radii, thresholds) -> list[LooMetrics]:
+def _grid_metrics(cohort, metric, radii, thresholds) -> list[LooMetrics]:
     """Leave-one-out metrics of every (radius, threshold), radius-major.
 
     Each labeled record is classified with itself removed from the
     evidence; the base rate stays fixed at the full labeled pool's value.
     UNKNOWN records are classified under the same pair to obtain the
-    yield. counts(radii) gives every record's N and K; decisions are made
-    from them in count space, one row block at a time.
+    yield. `_neighborhood_counts` gives every record's N and K; decisions
+    are made from them in count space, one row block at a time.
     """
     n_labeled = int(cohort.labeled_mask.sum())
     if n_labeled < 2:
         raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
     thresholds = np.array(thresholds)
-    n_arr, k_arr = counts(np.array(radii))
+    n_arr, k_arr = _neighborhood_counts(cohort, metric, np.array(radii))
     k_star = _decision_thresholds(np.unique(n_arr), base_rate(cohort), thresholds)
     totals = np.zeros((3, len(radii), thresholds.size), dtype=np.int64)
     for start in range(0, len(cohort), ROW_BLOCK):
@@ -231,10 +226,11 @@ def loo_evaluate(
 def _quantile_radii(values, counts) -> tuple[float, ...]:
     """The distinct radii of np.quantile(pairs, linspace(0, 1, 41)).
 
-    pairs is given as its distinct values, ascending, and their counts.
-    The quantiles are numpy's default (`linear`, Hyndman & Fan 1996 type
-    7): the two order statistics around (n - 1) q, combined by numpy's own
-    interpolation rule, so the radii are bitwise equal to np.quantile's.
+    pairs is given as ascending values, which may repeat, and their
+    counts, which may be 0. The quantiles are numpy's default (`linear`,
+    Hyndman & Fan 1996 type 7): the two order statistics around (n - 1) q,
+    combined by numpy's own interpolation rule, so the radii are bitwise
+    equal to np.quantile's.
     """
     last = int(counts.sum()) - 1
     virtual = last * np.linspace(0.0, 1.0, 41)
@@ -250,34 +246,32 @@ def _quantile_radii(values, counts) -> tuple[float, ...]:
     return tuple(sorted(set(qs.tolist())))
 
 
-def _code_radius_grid(cohort, values) -> tuple[float, ...]:
-    """`default_radius_grid` from a histogram of labeled-pair codes."""
-    histogram = np.zeros(values.size + 1, dtype=np.int64)
-    for _, codes in _code_blocks(cohort, np.flatnonzero(cohort.labeled_mask)):
-        histogram += np.bincount(codes.ravel(), minlength=values.size + 1)
-    # the sentinel bin holds the records themselves; every pair came twice
-    histogram = histogram[:-1] // 2
-    present = np.flatnonzero(histogram)
-    if present.size == 0:
-        raise TooFewLabeled("no labeled pairs to build a radius grid from")
-    distinct, which = np.unique(values[present], return_inverse=True)
-    counts = np.zeros(distinct.size, dtype=np.int64)
-    np.add.at(counts, which, histogram[present])
-    return _quantile_radii(distinct, counts)
-
-
 def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
-    """41 evenly spaced quantiles (0%, 2.5%, ..., 100%) of labeled-pair distances."""
+    """41 evenly spaced quantiles (0%, 2.5%, ..., 100%) of labeled-pair distances.
+
+    The pairs are counted the way `_neighborhood_counts` counts: as a
+    histogram of labeled-pair codes when the code tables fit, else as the
+    upper triangle of distance blocks, whose quantiles are taken in place.
+    """
     if not isinstance(metric, Metric):
         raise TypeError(f"metric must be a Metric, not {type(metric).__name__}")
     labeled = np.flatnonzero(cohort.labeled_mask)
-    # the upper triangle in triu_indices order, ROW_BLOCK rows at a time
+    if _codes_fit(cohort, metric):
+        values = code_values(cohort, metric)
+        histogram = np.zeros(values.size + 1, dtype=np.int64)
+        for _, codes in _labeled_blocks(cohort, labeled, _code_source(cohort), values.size):
+            histogram += np.bincount(codes.ravel(), minlength=values.size + 1)
+        # drops the last bin, the records themselves; every pair came twice
+        order = np.argsort(values)
+        counts = histogram[order] // 2
+        if not counts.any():
+            raise TooFewLabeled("no labeled pairs to build a radius grid from")
+        return _quantile_radii(values[order], counts)
     pairs = np.empty(labeled.size * (labeled.size - 1) // 2)
     at = 0
-    for start in range(0, labeled.size, ROW_BLOCK):
-        rows = np.arange(start, min(start + ROW_BLOCK, labeled.size))
-        block, _ = distance_block(cohort, metric, labeled[rows], labeled)
-        upper = block[np.arange(labeled.size) > rows[:, None]]
+    for start, block in _labeled_blocks(cohort, labeled, _distance_source(cohort, metric), np.nan):
+        # the upper triangle in triu_indices order
+        upper = block[np.arange(labeled.size) > np.arange(start, start + len(block))[:, None]]
         pairs[at : at + upper.size] = upper
         at += upper.size
     if pairs.size == 0:
@@ -317,25 +311,16 @@ def evaluate_grid(
 ) -> tuple[GridCell, ...]:
     """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
 
-    The cohort and metric choose the count path: a Jaccard or Manhattan
-    cohort whose code tables fit (`_codes_fit`) is counted from pair
-    codes; Gower, and binary cohorts whose tables do not fit, from sorted
-    rows of distance blocks against the labeled records. Both paths give
-    the same cells, and neither builds the n x n matrix: a passed
-    `distances` is only checked to cover the cohort in this metric.
+    The counts and default radii come from pair codes or from distance
+    blocks, as `_codes_fit` chooses. Both give the same cells, and neither
+    builds the n x n matrix: a passed `distances` is only checked to cover
+    the cohort in this metric.
     """
     if distances is not None:
         distances.require_cover(cohort, metric)
-    if _codes_fit(cohort, metric):
-        values = code_values(cohort, metric)
-        default_radii = partial(_code_radius_grid, cohort, values)
-        counts = partial(_code_counts, cohort, values)
-    else:
-        _require_binary_schema(cohort, metric)
-        default_radii = partial(default_radius_grid, cohort, metric)
-        counts = partial(_neighborhood_counts, cohort, metric)
+    _require_binary_schema(cohort, metric)
     if radius_grid is None:
-        radius_grid = default_radii()
+        radius_grid = default_radius_grid(cohort, metric)
     if threshold_grid is None:
         threshold_grid = default_threshold_grid()
     radii = tuple(sorted(set(float(s) for s in radius_grid)))
@@ -346,7 +331,7 @@ def evaluate_grid(
         raise InvalidGrid(f"radii must be >= 0, got {radius_grid!r}")
     if any(not 0.0 < t <= 1.0 for t in thresholds):
         raise InvalidGrid(f"thresholds must be in (0, 1], got {threshold_grid!r}")
-    metrics = iter(_grid_metrics(cohort, counts, radii, thresholds))
+    metrics = iter(_grid_metrics(cohort, metric, radii, thresholds))
     return tuple(GridCell(s, t, next(metrics)) for s in radii for t in thresholds)
 
 

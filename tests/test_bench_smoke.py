@@ -68,3 +68,6 @@ def test_traced_run_has_every_layer(checkout, workload):
     assert nulls == []
     if workload == "serve_gower":
         assert result["metrics"]["stats.fisher_calls"]["value"] == 200
+    else:
+        # the grid's own radius grid goes through the wrapped entry point
+        assert result["metrics"]["tune.radius_grid_s"]["value"] > 0

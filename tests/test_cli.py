@@ -591,7 +591,8 @@ def test_every_command_writes_strict_json(tmp_path):
           "--out", str(tmp_path / "infeasible")], 2),
         (["loo", *model, "--out", str(tmp_path / "loo")], 0),
         (["impute", *model, "--out", str(tmp_path / "impute")], 0),
-        (["explain", *model, "--out", str(tmp_path / "explain"), "r0000", "r0100"], 0),
+        (["explain", *model, "--out", str(tmp_path / "explain"), "r0000", "r0100",
+          "no\tsuch"], 0),
         (["baseline", "--input", str(cohort), "--out", str(tmp_path / "baseline")], 0),
     ]
     for argv, expected in runs:

@@ -223,7 +223,7 @@ class TestGridSearch:
                           distances=medium_distances)
 
     @pytest.mark.parametrize("metric", list(Metric))
-    def test_default_radius_grid_matches_triu_reference(self, metric):
+    def test_default_radius_grid_matches_triu_reference(self, metric, monkeypatch):
         rng = np.random.default_rng(5)
         cohort = random_cohort(
             rng, 80, 12, n_unknown=20, n_continuous=2 if metric is Metric.GOWER else 0
@@ -233,6 +233,10 @@ class TestGridSearch:
         sub = dm.values[np.ix_(labeled, labeled)]
         pairs = sub[np.triu_indices(labeled.size, k=1)]
         expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
+        # Jaccard and Manhattan take the code histogram here, then every
+        # metric the upper triangle of distance blocks
+        assert default_radius_grid(cohort, metric) == expected
+        monkeypatch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
         assert default_radius_grid(cohort, metric) == expected
 
     def test_default_grids(self, medium_cohort, medium_distances):
@@ -546,8 +550,8 @@ class TestCodeCounts:
             patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
             frontier = precision_yield_frontier(medium_cohort, metric, distances=dm)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fill.tune, "_neighborhood_counts", refuse_matrix_path)
-            patch.setattr(fill.tune, "default_radius_grid", refuse_matrix_path)
+            # distance blocks are the sorted-row path's only source
+            patch.setattr(fill.tune, "distance_block", refuse_matrix_path)
             assert evaluate_grid(medium_cohort, metric, distances=dm) == expected
             report = grid_search(
                 medium_cohort, metric, criterion=CriterionB(0.0), distances=dm
@@ -563,12 +567,23 @@ class TestCodeCounts:
         pairs=st.lists(
             st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0, 2.0, 7.0]) | st.floats(0, 60),
             min_size=1, max_size=80,
-        )
+        ),
+        unused=st.lists(st.floats(0, 60), max_size=20),
+        copies=st.integers(1, 3),
     )
-    def test_histogram_radii_match_numpy_quantile(self, pairs):
+    def test_histogram_radii_match_numpy_quantile(self, pairs, unused, copies):
         pairs = np.array(pairs)
         expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
-        assert _quantile_radii(*np.unique(pairs, return_counts=True)) == expected
+        distinct, count = np.unique(pairs, return_counts=True)
+        assert _quantile_radii(distinct, count) == expected
+        # the code histogram's form: every value repeated, with zero counts
+        # for values no pair has, for middle copies and for some first copies
+        values = np.repeat(np.union1d(pairs, unused), copies)
+        first = np.searchsorted(values, distinct)
+        counts = np.zeros(values.size, dtype=np.int64)
+        counts[first] = count // 2
+        counts[first + copies - 1] += count - count // 2
+        assert _quantile_radii(values, counts) == expected
 
     @pytest.mark.parametrize("metric", [Metric.JACCARD, Metric.MANHATTAN])
     def test_continuous_schema_still_incompatible(self, metric):
