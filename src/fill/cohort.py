@@ -23,6 +23,9 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._+-]+$")
+# Unicode category Cc; it holds the line breaks CR and LF and the tab
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_BITS = frozenset("01")
 
 
 class Label(Enum):
@@ -91,6 +94,8 @@ class Cohort:
             raise ValueError("label count does not match record count")
         if len(self.continuous_ranges) != len(self.schema.continuous_names):
             raise ValueError("range count does not match continuous schema")
+        if self.binary.dtype != np.uint8 or self.binary.max(initial=0) > 1:
+            raise ValueError("binary features must be uint8 values 0 or 1")
         seen = set()
         for rid in self.ids:
             if rid in seen:
@@ -224,8 +229,9 @@ def select_features(cohort: Cohort, names) -> Cohort:
 def load_cohort(path, schema: FeatureSchema) -> Cohort:
     """Parse and validate a cohort file against the given schema.
 
-    Strict by design: binary cells must be the literal characters 0/1,
-    labels must parse, continuous cells must be finite, non-empty plain
+    Strict by design: record ids must be non-empty and hold no control
+    character, binary cells must be the literal characters 0/1, labels
+    must parse, continuous cells must be finite, non-empty plain
     numbers without digit separators or surrounding blanks (labels are
     what this package imputes, never feature values). Lines end at a line
     feed, a carriage return or both; no other character breaks a line.
@@ -250,7 +256,7 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
     n_cont = len(schema.continuous_names)
     ids: list[str] = []
     labels: list[Label] = []
-    bin_rows: list[list[int]] = []
+    bin_rows: list[str] = []
     cont_rows: list[list[float]] = []
     seen: set[str] = set()
     for line_no, line in enumerate(lines[1:], start=2):
@@ -260,8 +266,10 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
                 line_no, f"expected {len(expected)} cells, found {len(cells)}"
             )
         rid = cells[0]
-        if rid == "" or "\r" in rid:
+        if rid == "":
             raise MalformedRow(line_no, "record id must be non-empty")
+        if _CONTROL_RE.search(rid):
+            raise MalformedRow(line_no, f"record id {rid!r} holds a control character")
         if rid in seen:
             raise DuplicateId(rid)
         seen.add(rid)
@@ -271,16 +279,13 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
             raise MalformedRow(
                 line_no, f"label must be POS/NEG/UNKNOWN, found {cells[1]!r}"
             ) from None
-        brow = []
-        for name, cell in zip(schema.binary_names, cells[2 : 2 + n_bin]):
-            if cell == "0":
-                brow.append(0)
-            elif cell == "1":
-                brow.append(1)
-            else:
-                raise MalformedRow(
-                    line_no, f"binary cell for {name!r} must be 0 or 1, found {cell!r}"
-                )
+        bits = cells[2 : 2 + n_bin]
+        if not _BITS.issuperset(bits):
+            for name, cell in zip(schema.binary_names, bits):
+                if cell not in _BITS:
+                    raise MalformedRow(
+                        line_no, f"binary cell for {name!r} must be 0 or 1, found {cell!r}"
+                    )
         crow = []
         for name, cell in zip(schema.continuous_names, cells[2 + n_bin :]):
             if cell == "":
@@ -305,28 +310,29 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
             crow.append(value)
         ids.append(rid)
         labels.append(label)
-        bin_rows.append(brow)
+        bin_rows.append("".join(bits))
         cont_rows.append(crow)
 
-    binary = np.array(bin_rows, dtype=np.uint8).reshape(len(ids), n_bin)
+    binary = np.frombuffer("".join(bin_rows).encode(), np.uint8) - ord("0")
     continuous = np.array(cont_rows, dtype=np.float64).reshape(len(ids), n_cont)
-    return Cohort.make(schema, ids, binary, continuous, labels)
+    return Cohort.make(schema, ids, binary.reshape(len(ids), n_bin), continuous, labels)
 
 
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort file; exact inverse of load_cohort.
 
     Continuous cells use repr() so float64 values round-trip bit-for-bit.
-    Record ids must be non-empty and hold no comma or line break, the
-    characters that delimit cells and lines.
+    Record ids must be non-empty and hold no comma, which delimits cells,
+    and no control character, which includes the line breaks.
     """
     for rid in cohort.ids:
-        if rid == "" or "," in rid or "\n" in rid or "\r" in rid:
+        if rid == "" or "," in rid or _CONTROL_RE.search(rid):
             raise ValueError(f"record id {rid!r} cannot be written as a cohort cell")
+    n_bin = len(cohort.schema.binary_names)
+    bits = (cohort.binary + ord("0")).tobytes().decode()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cohort.schema.header()) + "\n")
-        for i, rid in enumerate(cohort.ids):
-            cells = [rid, cohort.labels[i].value]
-            cells.extend(str(int(v)) for v in cohort.binary[i])
-            cells.extend(repr(float(v)) for v in cohort.continuous[i])
+        rows = zip(cohort.ids, cohort.labels, cohort.continuous.tolist())
+        for i, (rid, label, cont) in enumerate(rows):
+            cells = [rid, label.value, *bits[i * n_bin : (i + 1) * n_bin], *map(repr, cont)]
             fh.write(",".join(cells) + "\n")

@@ -16,6 +16,19 @@ from fill.cohort import Label
 from fill.stats import binom_tails
 
 
+# --- cohort files, one cell at a time ---
+
+def naive_write_cohort(cohort, path):
+    """Write a cohort file with one str(int) per binary cell and one repr per continuous cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cohort.schema.header()) + "\n")
+        for i, rid in enumerate(cohort.ids):
+            cells = [rid, cohort.labels[i].value]
+            cells.extend(str(int(v)) for v in cohort.binary[i])
+            cells.extend(repr(float(v)) for v in cohort.continuous[i])
+            fh.write(",".join(cells) + "\n")
+
+
 # --- distances, naive double loops ---
 
 def naive_jaccard(a, b):

@@ -23,6 +23,7 @@ from fill.errors import (
 )
 
 from conftest import make_cohort, random_cohort
+from oracles import naive_write_cohort
 
 SCHEMA = FeatureSchema(
     binary_names=("b0", "b1"), continuous_names=("age",)
@@ -148,6 +149,69 @@ class TestLoadCohort:
         assert err.value.line_no == 1
         assert "byte-order mark" in err.value.reason
 
+    @pytest.mark.parametrize("rid", ["a\tb", "r\x0103", "a\x7f", "\x85"])
+    def test_control_character_id_rejected(self, tmp_path, rid):
+        path = write_lines(
+            tmp_path,
+            ["record_id,label,b0,b1,age", "p1,POS,1,0,5.0", f"{rid},NEG,0,1,6.0"],
+        )
+        with pytest.raises(MalformedRow) as err:
+            load_cohort(path, SCHEMA)
+        assert err.value.line_no == 3
+        assert err.value.reason == f"record id {rid!r} holds a control character"
+
+    def test_line_endings_load_alike(self, tmp_path):
+        # text mode reads CR and CRLF as LF, so no id can end in a CR
+        text = "record_id,label,b0,b1,age\np1,POS,1,0,62.5\np2,NEG,0,1,41.0\n"
+        loaded = []
+        for eol in ("\n", "\r\n", "\r"):
+            path = tmp_path / f"eol{len(loaded)}.csv"
+            path.write_bytes(text.replace("\n", eol).encode())
+            loaded.append(load_cohort(path, SCHEMA))
+        assert loaded[0] == loaded[1] == loaded[2]
+        assert loaded[0].ids == ("p1", "p2")
+
+
+PINNED = FeatureSchema(binary_names=("b0", "b1", "b2"), continuous_names=("age",))
+
+
+def _bad_bit(line_no, name, cell):
+    return line_no, f"binary cell for {name!r} must be 0 or 1, found {cell!r}"
+
+
+# (data rows after the header, line_no, reason) for every binary-block error
+BINARY_BLOCK_ERRORS = {
+    "first_column": (["p1,POS,2,0,1,5.0"], *_bad_bit(2, "b0", "2")),
+    "middle_column": (["p1,POS,0,x,1,5.0"], *_bad_bit(2, "b1", "x")),
+    "last_column": (["p1,POS,0,1,7,5.0"], *_bad_bit(2, "b2", "7")),
+    "first_of_two_named": (["p1,POS,0,3,4,5.0"], *_bad_bit(2, "b1", "3")),
+    "empty_cell": (["p1,POS,,0,1,5.0"], *_bad_bit(2, "b0", "")),
+    "leading_blank": (["p1,POS,0, 1,1,5.0"], *_bad_bit(2, "b1", " 1")),
+    "two_digits": (["p1,POS,0,1,01,5.0"], *_bad_bit(2, "b2", "01")),
+    "two_on_line_4": (
+        ["p1,POS,1,1,1,5.0", "p2,NEG,0,0,0,6.0", "p3,NEG,0,2,0,7.0"],
+        *_bad_bit(4, "b1", "2"),
+    ),
+    "bad_label_on_earlier_line_first": (
+        ["p1,POS,0,0,0,5.0", "p2,MAYBE,0,0,0,5.0", "p3,POS,0,2,0,5.0"],
+        3,
+        "label must be POS/NEG/UNKNOWN, found 'MAYBE'",
+    ),
+    "binary_before_continuous_on_one_line": (["p1,POS,0,0,2,inf"], *_bad_bit(2, "b2", "2")),
+}
+
+
+class TestBinaryBlockMessages:
+    @pytest.mark.parametrize("case", sorted(BINARY_BLOCK_ERRORS))
+    def test_message_and_line(self, tmp_path, case):
+        rows, line_no, reason = BINARY_BLOCK_ERRORS[case]
+        path = write_lines(tmp_path, [",".join(PINNED.header()), *rows])
+        with pytest.raises(MalformedRow) as err:
+            load_cohort(path, PINNED)
+        assert err.value.line_no == line_no
+        assert err.value.reason == reason
+        assert str(err.value) == f"line {line_no}: {reason}"
+
 
 class TestRoundTrip:
     def test_small_round_trip(self, tmp_path, tiny_mixed_cohort):
@@ -174,14 +238,15 @@ class TestRoundTrip:
     @given(data=st.data())
     @settings(deadline=None, max_examples=60)
     def test_round_trip_is_bitwise(self, tmp_path_factory, data):
-        # any id the format can hold: no comma or line break, which delimit
-        # cells and lines, plus ids that look like other cell kinds
+        # any id the format can hold: no comma, which delimits cells, and no
+        # control character (Cc holds the line breaks), plus ids that look
+        # like other cell kinds or hold other Unicode separators
         id_text = st.text(
-            st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+            st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters=","),
             min_size=1,
         )
         edge_ids = st.sampled_from(
-            [" ", " p1 ", "0", "1e5", "nan", "POS", "\ufeffid", "\x85", "\u2028", "\x0c", "é" * 40]
+            [" ", " p1 ", "0", "1e5", "nan", "POS", "\ufeffid", "\u2028", "\u00a0", "é" * 40]
         )
         ids = data.draw(st.lists(st.one_of(id_text, edge_ids), max_size=8, unique=True))
         n = len(ids)
@@ -200,11 +265,33 @@ class TestRoundTrip:
         assert loaded == cohort
         assert loaded.continuous.tobytes() == cohort.continuous.tobytes()
 
-    @pytest.mark.parametrize("rid", ["", "a,b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("rid", ["", "a,b", "a\nb", "a\rb", "a\tb", "a\x01b"])
     def test_unwritable_id_rejected(self, tmp_path, rid):
         cohort = make_cohort([[1]], ["POS"], ids=[rid])
         with pytest.raises(ValueError, match="cannot be written"):
             write_cohort(cohort, tmp_path / "c.csv")
+
+    @pytest.mark.parametrize(
+        "n, n_binary, n_continuous",
+        [(40, 6, 2), (40, 0, 3), (0, 4, 1), (0, 0, 0), (25, 9, 0), (1, 1, 0), (300, 60, 0)],
+    )
+    def test_bytes_match_per_cell_writer(self, tmp_path, n, n_binary, n_continuous):
+        rng = np.random.default_rng(1000 * n + 10 * n_binary + n_continuous)
+        schema = FeatureSchema(
+            tuple(f"b{j}" for j in range(n_binary)), tuple(f"c{j}" for j in range(n_continuous))
+        )
+        # continuous values span the float64 exponent range
+        scale = 10.0 ** rng.integers(-300, 300, size=(n, n_continuous))
+        cohort = Cohort.make(
+            schema,
+            [f"r{i}" if i % 3 else f"é {i}" for i in range(n)],
+            rng.integers(0, 2, size=(n, n_binary)),
+            rng.normal(0, 1, size=(n, n_continuous)) * scale,
+            [list(Label)[k] for k in rng.integers(0, 3, size=n)],
+        )
+        write_cohort(cohort, tmp_path / "rows.csv")
+        naive_write_cohort(cohort, tmp_path / "cells.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     def test_ten_thousand_record_round_trip(self, tmp_path):
         rng = np.random.default_rng(10_000)
@@ -212,6 +299,33 @@ class TestRoundTrip:
         path = tmp_path / "big.csv"
         write_cohort(cohort, path)
         assert load_cohort(path, cohort.schema) == cohort
+
+
+class TestBinaryInvariant:
+    def test_value_two_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Cohort.make(FeatureSchema(("x",), ()), ["p1"], [[2]], np.zeros((1, 0)), [Label.POS])
+
+    def test_negative_int64_rejected(self):
+        # -1 casts to 255 on the way to uint8
+        binary = np.array([[0], [-1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="0 or 1"):
+            Cohort.make(FeatureSchema(("x",), ()), ["p1", "p2"], binary, np.zeros((2, 0)),
+                        [Label.POS, Label.NEG])
+
+    def test_wider_dtype_rejected_by_constructor(self, tiny_mixed_cohort):
+        c = tiny_mixed_cohort
+        with pytest.raises(ValueError, match="uint8"):
+            Cohort(c.schema, c.ids, c.binary.astype(np.int64), c.continuous, c.labels,
+                   c.continuous_ranges)
+
+    def test_feature_subsets_construct(self):
+        rng = np.random.default_rng(17)
+        cohort = random_cohort(rng, 50, 6, n_unknown=5, n_continuous=1)
+        subsets = (select_features(cohort, ["b1", "c0"]), prevalence_filter(cohort, 0.2, 0.8))
+        for sub in subsets:
+            assert sub.binary.dtype == np.uint8
+            assert set(np.unique(sub.binary)) <= {0, 1}
 
 
 class TestAggregateEf:
