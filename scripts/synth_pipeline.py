@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from fill import report
-from fill.baseline import evaluate_baseline, fit_logistic, optimal_cutoff, predict_scores
+from fill.baseline import evaluate_two_cutoffs, fit_logistic
 from fill.classify import Decision, FillModel, Hyperparameters, impute_unknowns
 from fill.cohort import Label, prevalence_filter, write_cohort
 from fill.distance import Metric, distance_matrix
@@ -99,18 +99,11 @@ def main():
         report.write_volcano(expl, out / report.volcano_name(r.record_id))
     report.write_top_features(explanations, out / "top_features.csv")
 
-    logistic = fit_logistic(cohort)
-    labeled = cohort.labeled_mask
-    scores = predict_scores(cohort, logistic)[labeled]
-    labels = [Label.POS if v else Label.NEG for v in cohort.pos_mask[labeled]]
-    cutoff = optimal_cutoff(scores, labels)
-    acc_d, prec_d, c_stat = evaluate_baseline(cohort, logistic, 0.5)
-    acc_o, prec_o, _ = evaluate_baseline(cohort, logistic, cutoff)
+    accuracy, precision, c_stat, cutoffs = evaluate_two_cutoffs(cohort, fit_logistic(cohort))
     report.write_baseline_report(
-        out / "baseline_report.txt", (acc_d, acc_o), (prec_d, prec_o), c_stat,
-        (0.5, cutoff),
+        out / "baseline_report.txt", accuracy, precision, c_stat, cutoffs
     )
-    prec_txt = "NA" if prec_o is None else f"{prec_o:.4f}"
+    prec_txt = "NA" if precision[1] is None else f"{precision[1]:.4f}"
     print(f"logistic baseline: precision={prec_txt} c={c_stat:.4f} "
           f"(vs tuned local precision {winner.metrics.precision:.4f})")
     print(f"outputs in {out}")

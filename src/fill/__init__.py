@@ -10,6 +10,7 @@ from .baseline import (
     LogisticModel,
     c_statistic,
     evaluate_baseline,
+    evaluate_two_cutoffs,
     fit_logistic,
     optimal_cutoff,
     predict_scores,

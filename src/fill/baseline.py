@@ -166,3 +166,15 @@ def evaluate_baseline(cohort: Cohort, model: LogisticModel, cutoff: float):
     precision = tp / (tp + fp) if tp + fp > 0 else None
     labels = [Label.POS if p else Label.NEG for p in is_pos]
     return accuracy, precision, c_statistic(scores, labels)
+
+
+def evaluate_two_cutoffs(cohort: Cohort, model: LogisticModel):
+    """`evaluate_baseline` at 0.5 and at the labeled records' `optimal_cutoff`, as the
+    (accuracies, precisions, c_statistic, cutoffs) `report.write_baseline_report` takes."""
+    labeled = cohort.labeled_mask
+    scores = predict_scores(cohort, model)[labeled]
+    labels = [Label.POS if p else Label.NEG for p in cohort.pos_mask[labeled]]
+    cutoff = optimal_cutoff(scores, labels)
+    acc_d, prec_d, c_stat = evaluate_baseline(cohort, model, 0.5)
+    acc_o, prec_o, _ = evaluate_baseline(cohort, model, cutoff)
+    return (acc_d, acc_o), (prec_d, prec_o), c_stat, (0.5, cutoff)

@@ -31,6 +31,8 @@ class Hyperparameters:
     metric: Metric
 
     def __post_init__(self):
+        if not isinstance(self.metric, Metric):
+            raise TypeError(f"metric must be a Metric, not {type(self.metric).__name__}")
         if not (self.radius >= 0.0):
             raise ValueError("radius must be >= 0")
         if not (0.0 < self.p_threshold <= 1.0):
@@ -53,6 +55,11 @@ class FillModel:
             hyperparameters=hp,
         )
 
+    def require_fit(self, cohort: Cohort) -> None:
+        """Raise ModelCohortMismatch unless fit on cohort's labeled records."""
+        if self.labeled_ids is not cohort.labeled_ids and self.labeled_ids != cohort.labeled_ids:
+            raise ModelCohortMismatch("model was fit on a different labeled set")
+
 
 @dataclass(frozen=True)
 class ClassificationResult:
@@ -61,7 +68,6 @@ class ClassificationResult:
     positive_k: int
     p_value: float
     decision: Decision
-    neighbor_ids: tuple[str, ...]
 
 
 def base_rate(cohort: Cohort) -> float:
@@ -81,13 +87,14 @@ def neighborhood(
     """The record's row index and the mask of its labeled neighbors.
 
     Neighbors are the labeled records within the closed ball of radius S,
-    never the record itself. distances must cover cohort in the model's
-    metric, or the radius would be read in the wrong units.
+    never the record itself. model must be fit on cohort, and distances must
+    cover cohort in the model's metric, or S would be read in wrong units.
     """
+    model.require_fit(cohort)
+    distances.require_cover(cohort, model.hyperparameters.metric)
     idx = cohort.id_index.get(record_id)
     if idx is None:
         raise UnknownRecord(record_id)
-    distances.require_cover(cohort, model.hyperparameters.metric)
     mask = cohort.labeled_mask & (distances.values[idx] <= model.hyperparameters.radius)
     mask[idx] = False
     return idx, mask
@@ -109,8 +116,7 @@ def classify(
     k = int((mask & cohort.pos_mask).sum())
     p = binom_sf(k, n, model.base_rate)
     decision = Decision.POS if p < model.hyperparameters.p_threshold else Decision.UNCLASSIFIED
-    neighbor_ids = tuple(cohort.ids[i] for i in np.flatnonzero(mask))
-    return ClassificationResult(record_id, n, k, p, decision, neighbor_ids)
+    return ClassificationResult(record_id, n, k, p, decision)
 
 
 def impute_unknowns(
@@ -119,6 +125,5 @@ def impute_unknowns(
     distances: DistanceMatrix,
 ) -> list[ClassificationResult]:
     """Classify every UNKNOWN record, in cohort order."""
-    if model.labeled_ids != cohort.labeled_ids:
-        raise ModelCohortMismatch("model was fit on a different labeled set")
+    model.require_fit(cohort)
     return [classify(rid, cohort, model, distances) for rid in cohort.unknown_ids]

@@ -16,12 +16,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import report
-from .baseline import evaluate_baseline, fit_logistic, optimal_cutoff, predict_scores
+from .baseline import evaluate_two_cutoffs, fit_logistic
 from .classify import FillModel, Hyperparameters, impute_unknowns
 from .cohort import (
     Cohort,
     FeatureSchema,
-    Label,
     load_cohort,
     select_features,
     write_cohort,
@@ -341,24 +340,12 @@ def cmd_explain(cfg: RunConfig, record_ids) -> int:
 def cmd_baseline(cfg: RunConfig) -> int:
     cohort = load_input(cfg)
     out = _out_dir(cfg)
-    model = fit_logistic(cohort)
-    labeled = cohort.labeled_mask
-    scores = predict_scores(cohort, model)[labeled]
-    labels = [
-        Label.POS if p else Label.NEG for p in cohort.pos_mask[labeled]
-    ]
-    best_cutoff = optimal_cutoff(scores, labels)
-    acc_default, prec_default, c_stat = evaluate_baseline(cohort, model, 0.5)
-    acc_best, prec_best, _ = evaluate_baseline(cohort, model, best_cutoff)
+    accuracy, precision, c_stat, cutoffs = evaluate_two_cutoffs(cohort, fit_logistic(cohort))
     report.write_baseline_report(
-        out / "baseline_report.txt",
-        (acc_default, acc_best),
-        (prec_default, prec_best),
-        c_stat,
-        (0.5, best_cutoff),
+        out / "baseline_report.txt", accuracy, precision, c_stat, cutoffs
     )
     print(
-        f"baseline: accuracy={acc_default:.4f} ({acc_best:.4f}) "
+        f"baseline: accuracy={accuracy[0]:.4f} ({accuracy[1]:.4f}) "
         f"c_statistic={c_stat:.4f}"
     )
     return 0

@@ -18,10 +18,14 @@ from enum import Enum
 import numpy as np
 
 from .cohort import Cohort
-from .errors import IncompatibleMetric, LengthMismatch
+from .errors import IncompatibleMetric, LengthMismatch, MatrixTooLarge
 
 # Rows per pass of every row-blocked kernel, here and in `tune`.
 ROW_BLOCK = 256
+
+# Largest n x n float64 matrix `distance_matrix` allocates: 4 GiB, which
+# admits n up to 23 170 (the paper's 11 950 records need 1.14 GB).
+MATRIX_LIMIT_BYTES = 4 * 2**30
 
 
 class Metric(Enum):
@@ -150,6 +154,8 @@ class DistanceMatrix:
 
 
 def _require_binary_schema(cohort: Cohort, metric: Metric) -> None:
+    if not isinstance(metric, Metric):
+        raise TypeError(f"metric must be a Metric, not {type(metric).__name__}")
     if metric is not Metric.GOWER and cohort.schema.continuous_names:
         raise IncompatibleMetric(
             f"{metric.value} requires a schema without continuous features"
@@ -166,8 +172,15 @@ def distance_block(cohort: Cohort, metric: Metric, rows, columns):
 
 
 def distance_matrix(cohort: Cohort, metric: Metric) -> DistanceMatrix:
-    """Materialize the full n x n matrix for the chosen metric, in row blocks."""
+    """Materialize the full n x n matrix for the chosen metric, in row blocks.
+    Raises MatrixTooLarge, before allocating, above MATRIX_LIMIT_BYTES."""
     _require_binary_schema(cohort, metric)
+    n_bytes = len(cohort) ** 2 * 8
+    if n_bytes > MATRIX_LIMIT_BYTES:
+        raise MatrixTooLarge(
+            f"a distance matrix of n = {len(cohort)} records needs {n_bytes} bytes, "
+            f"over the limit of {MATRIX_LIMIT_BYTES} bytes"
+        )
     values = np.empty((len(cohort), len(cohort)))
     degenerate = 0
     for start in range(0, len(cohort), ROW_BLOCK):

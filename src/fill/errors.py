@@ -55,6 +55,10 @@ class IncompatibleMetric(FillError):
     pass
 
 
+class MatrixTooLarge(FillError):
+    """An n x n distance matrix over `distance.MATRIX_LIMIT_BYTES`."""
+
+
 # --- statistics ---
 
 class InvalidArguments(FillError):

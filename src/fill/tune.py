@@ -253,8 +253,7 @@ def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
     histogram of labeled-pair codes when the code tables fit, else as the
     upper triangle of distance blocks, whose quantiles are taken in place.
     """
-    if not isinstance(metric, Metric):
-        raise TypeError(f"metric must be a Metric, not {type(metric).__name__}")
+    _require_binary_schema(cohort, metric)
     labeled = np.flatnonzero(cohort.labeled_mask)
     if _codes_fit(cohort, metric):
         values = code_values(cohort, metric)
@@ -316,9 +315,9 @@ def evaluate_grid(
     builds the n x n matrix: a passed `distances` is only checked to cover
     the cohort in this metric.
     """
+    _require_binary_schema(cohort, metric)
     if distances is not None:
         distances.require_cover(cohort, metric)
-    _require_binary_schema(cohort, metric)
     if radius_grid is None:
         radius_grid = default_radius_grid(cohort, metric)
     if threshold_grid is None:

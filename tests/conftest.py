@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fill.classify import neighborhood
 from fill.cohort import Cohort, FeatureSchema, Label
 from fill.tune import _loo_metrics, _tally
 
@@ -49,6 +50,12 @@ def random_cohort(rng, n_records, n_binary, n_unknown=0, n_continuous=0):
         continuous_rows=continuous,
         continuous_names=tuple(f"c{i}" for i in range(n_continuous)),
     )
+
+
+def neighbors_of(record_id, cohort, model, distances):
+    """Ids of the record's labeled neighbors, read from `neighborhood`'s mask."""
+    _, mask = neighborhood(record_id, cohort, model, distances)
+    return tuple(cohort.ids[i] for i in np.flatnonzero(mask))
 
 
 def reversed_cohort(cohort):

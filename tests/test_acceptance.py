@@ -22,7 +22,7 @@ from fill.stats import bh_fdr, binom_sf, fisher_exact, welch_t
 from fill.synth import default_spec, synth_cohort_with_truth, write_truth
 from fill.tune import CriterionB, evaluate_grid, grid_search, loo_evaluate, select_winner
 
-from conftest import random_cohort
+from conftest import neighbors_of, random_cohort
 from oracles import (
     brute_force_cell,
     brute_force_winner,
@@ -407,6 +407,6 @@ def test_criterion_9_monotonicity_properties():
             s1, s2 = sorted(rng.uniform(0, 1.1, size=2).tolist())
             m1 = FillModel.fit(cohort, Hyperparameters(s1, 0.05, Metric.JACCARD))
             m2 = FillModel.fit(cohort, Hyperparameters(s2, 0.05, Metric.JACCARD))
-            n1 = set(classify(rid, cohort, m1, dm).neighbor_ids)
-            n2 = set(classify(rid, cohort, m2, dm).neighbor_ids)
+            n1 = set(neighbors_of(rid, cohort, m1, dm))
+            n2 = set(neighbors_of(rid, cohort, m2, dm))
             assert n1 <= n2

@@ -6,6 +6,7 @@ import pytest
 from fill.baseline import (
     c_statistic,
     evaluate_baseline,
+    evaluate_two_cutoffs,
     fit_logistic,
     optimal_cutoff,
     predict_scores,
@@ -192,3 +193,16 @@ class TestEvaluateBaseline:
         first = evaluate_baseline(cohort, model, 0.5)
         second = evaluate_baseline(cohort, model, 0.5)
         assert first == second
+
+    def test_two_cutoffs_at_half_and_optimum(self):
+        cohort = random_cohort(np.random.default_rng(73), 60, 4, n_unknown=10)
+        model = fit_logistic(cohort)
+        labeled = cohort.labeled_mask
+        scores = predict_scores(cohort, model)[labeled]
+        labels = [POS if v else NEG for v in cohort.pos_mask[labeled]]
+        best = optimal_cutoff(scores, labels)
+        acc_d, prec_d, c_stat = evaluate_baseline(cohort, model, 0.5)
+        acc_o, prec_o, _ = evaluate_baseline(cohort, model, best)
+        assert evaluate_two_cutoffs(cohort, model) == (
+            (acc_d, acc_o), (prec_d, prec_o), c_stat, (0.5, best)
+        )

@@ -13,7 +13,7 @@ from fill.distance import Metric, distance_matrix
 from fill.errors import ModelCohortMismatch, NoLabeledRecords, UnknownRecord
 from fill.stats import binom_sf
 
-from conftest import make_cohort, random_cohort
+from conftest import make_cohort, neighbors_of, random_cohort
 
 
 def hp(radius, threshold, metric=Metric.JACCARD):
@@ -93,9 +93,10 @@ class TestClassify:
         dm = distance_matrix(cohort, Metric.JACCARD)
         model = FillModel.fit(cohort, hp(1.0, 0.5))
         res = classify("p0", cohort, model, dm)
-        assert "p0" not in res.neighbor_ids
+        ids = neighbors_of("p0", cohort, model, dm)
+        assert "p0" not in ids
         assert res.neighborhood_n == 2
-        assert res.neighbor_ids == ("p1", "p2")
+        assert ids == ("p1", "p2")
 
     def test_matrix_of_another_metric_rejected(self):
         cohort = make_cohort([[1, 0], [1, 1], [0, 1]], ["UNKNOWN", "POS", "NEG"])
@@ -105,6 +106,17 @@ class TestClassify:
             classify("p0", cohort, model, dm)
         with pytest.raises(ValueError, match="manhattan, not jaccard"):
             impute_unknowns(cohort, model, dm)
+
+    def test_model_of_another_labeled_set_rejected(self):
+        c1 = make_cohort([[1], [0], [1]], ["POS", "NEG", "UNKNOWN"])
+        c2 = make_cohort([[1], [0], [1]], ["POS", "UNKNOWN", "UNKNOWN"])
+        model = FillModel.fit(c1, hp(0.5, 0.05))
+        with pytest.raises(ModelCohortMismatch):
+            classify("p2", c2, model, distance_matrix(c2, Metric.JACCARD))
+
+    def test_metric_must_be_a_metric(self):
+        with pytest.raises(TypeError, match="metric must be a Metric, not str"):
+            Hyperparameters(0.5, 0.05, "jaccard")
 
     def test_unknown_record_error(self, tiny_mixed_cohort):
         dm = distance_matrix(tiny_mixed_cohort, Metric.GOWER)
@@ -119,8 +131,7 @@ class TestClassify:
         model = FillModel.fit(cohort, hp(0.6, 0.5))
         unknown = set(cohort.unknown_ids)
         for rid in cohort.ids:
-            res = classify(rid, cohort, model, dm)
-            assert unknown.isdisjoint(res.neighbor_ids)
+            assert unknown.isdisjoint(neighbors_of(rid, cohort, model, dm))
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(23)
@@ -144,7 +155,7 @@ class TestClassify:
             previous = set()
             for radius in radii:
                 model = FillModel.fit(cohort, hp(radius, 0.05))
-                current = set(classify(rid, cohort, model, dm).neighbor_ids)
+                current = set(neighbors_of(rid, cohort, model, dm))
                 assert previous <= current
                 previous = current
 
@@ -191,6 +202,14 @@ class TestImputeUnknowns:
     def test_model_cohort_mismatch(self):
         c1 = make_cohort([[1], [0], [1]], ["POS", "NEG", "UNKNOWN"])
         c2 = make_cohort([[1], [0], [1]], ["POS", "UNKNOWN", "UNKNOWN"])
+        dm = distance_matrix(c2, Metric.JACCARD)
+        model = FillModel.fit(c1, hp(0.5, 0.05))
+        with pytest.raises(ModelCohortMismatch):
+            impute_unknowns(c2, model, dm)
+
+    def test_model_cohort_mismatch_without_unknowns(self):
+        c1 = make_cohort([[1], [0], [1]], ["POS", "NEG", "UNKNOWN"])
+        c2 = make_cohort([[1], [0], [1]], ["POS", "NEG", "NEG"])
         dm = distance_matrix(c2, Metric.JACCARD)
         model = FillModel.fit(c1, hp(0.5, 0.05))
         with pytest.raises(ModelCohortMismatch):

@@ -404,6 +404,24 @@ class TestExplainCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", [["impute"], ["explain", "p0"]])
+def test_matrix_over_the_limit_exit_1(synth_dir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(fill.distance, "MATRIX_LIMIT_BYTES", 1000)
+    out = tmp_path / "o"
+    code = run(
+        command + [
+            "--input", str(synth_dir / "synthetic_cohort.csv"), "--metric", "jaccard",
+            "--radius", "0.5", "--pvalue", "0.05", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: a distance matrix of n = 160 records needs 204800 bytes")
+    assert not (out / "imputations.csv").exists()
+    assert list(out.iterdir()) == []
+
+
 class TestLooAndBaselineCommands:
     def test_loo_report(self, synth_dir, tmp_path):
         out = tmp_path / "loo"

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fill.distance
 from fill.cohort import load_cohort, write_cohort
 from fill.distance import (
     Metric,
     _block,
+    code_values,
+    distance_block,
     distance_matrix,
     gower,
     jaccard,
     manhattan,
 )
-from fill.errors import IncompatibleMetric, LengthMismatch
+from fill.errors import IncompatibleMetric, LengthMismatch, MatrixTooLarge
 
 from conftest import make_cohort, random_cohort, reversed_cohort
 from oracles import naive_gower, naive_jaccard, naive_manhattan
@@ -225,3 +228,32 @@ class TestDistanceMatrix:
         assert dm.degenerate_pairs == degenerate
         if metric is not Metric.MANHATTAN and n_continuous == 0:
             assert degenerate > 0
+
+
+class TestMetricType:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: distance_matrix(c, "manhattan"),
+            lambda c: distance_block(c, "manhattan", slice(0, 2), slice(None)),
+            lambda c: code_values(c, "manhattan"),
+        ],
+        ids=["distance_matrix", "distance_block", "code_values"],
+    )
+    def test_string_metric_rejected(self, call):
+        cohort = make_cohort([[1, 0, 1], [0, 1, 1], [1, 1, 0]], ["POS", "NEG", "UNKNOWN"])
+        with pytest.raises(TypeError, match="metric must be a Metric, not str"):
+            call(cohort)
+
+
+class TestMatrixLimit:
+    def test_limit_admits_paper_scale(self):
+        assert 11_950**2 * 8 <= fill.distance.MATRIX_LIMIT_BYTES
+
+    def test_refused_before_allocating(self, monkeypatch):
+        cohort = make_cohort([[1, 0], [0, 1], [1, 1]], ["POS", "NEG", "UNKNOWN"])
+        monkeypatch.setattr(fill.distance, "MATRIX_LIMIT_BYTES", 3 * 3 * 8 - 1)
+        with pytest.raises(MatrixTooLarge, match="n = 3 records needs 72 bytes, over the limit of 71 bytes"):
+            distance_matrix(cohort, Metric.JACCARD)
+        monkeypatch.setattr(fill.distance, "MATRIX_LIMIT_BYTES", 3 * 3 * 8)
+        assert distance_matrix(cohort, Metric.JACCARD).values.shape == (3, 3)

@@ -5,7 +5,7 @@ import scipy.stats
 from fill.classify import FillModel, Hyperparameters
 from fill.cohort import Cohort, FeatureSchema, Label, prevalence_filter
 from fill.distance import Metric, distance_matrix
-from fill.errors import EmptyComplement, EmptyNeighborhood
+from fill.errors import EmptyComplement, EmptyNeighborhood, ModelCohortMismatch
 from fill.explain import (
     FeatureComparison,
     FeatureKind,
@@ -162,6 +162,15 @@ class TestExplainRecord:
         model = FillModel.fit(cohort, hp(1.0, 0.05, Metric.MANHATTAN))
         with pytest.raises(ValueError, match="jaccard, not manhattan"):
             explain_record(cohort.ids[0], cohort, model, dm)
+
+    def test_model_of_another_labeled_set_rejected(self, cohort):
+        relabeled = Cohort.make(
+            cohort.schema, cohort.ids, cohort.binary, cohort.continuous,
+            (Label.UNKNOWN,) + cohort.labels[1:],
+        )
+        model = FillModel.fit(relabeled, hp(0.5, 0.05, Metric.GOWER))
+        with pytest.raises(ModelCohortMismatch):
+            explain_record(cohort.ids[1], cohort, model, distance_matrix(cohort, Metric.GOWER))
 
 
 def serve_like_cohort(seed):

@@ -496,6 +496,24 @@ class TestRowBlockCounts:
         with pytest.raises(TypeError, match="metric must be a Metric, not DistanceMatrix"):
             default_radius_grid(medium_cohort, medium_distances)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, dm: default_radius_grid(c, "manhattan"),
+            lambda c, dm: evaluate_grid(c, "manhattan", (0.5, 1, 2), (0.05,)),
+            lambda c, dm: evaluate_grid(c, "jaccard", (0.5,), (0.05,), distances=dm),
+            lambda c, dm: grid_search(c, "manhattan", (0.5, 1, 2), (0.05,)),
+            lambda c, dm: precision_yield_frontier(c, "manhattan", (0.5, 1, 2), (0.05,)),
+        ],
+        ids=[
+            "default_radius_grid", "evaluate_grid", "evaluate_grid_with_matrix",
+            "grid_search", "precision_yield_frontier",
+        ],
+    )
+    def test_string_metric_rejected(self, medium_cohort, medium_distances, call):
+        with pytest.raises(TypeError, match="metric must be a Metric, not str"):
+            call(medium_cohort, medium_distances)
+
 
 class TestCodeCounts:
     """evaluate_grid counts Jaccard and Manhattan from pair codes, with or
