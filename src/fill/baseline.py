@@ -155,26 +155,32 @@ def evaluate_baseline(cohort: Cohort, model: LogisticModel, cutoff: float):
 
     precision is None when nothing is predicted POS.
     """
-    labeled = cohort.labeled_mask
-    scores = predict_scores(cohort, model)[labeled]
-    is_pos = cohort.pos_mask[labeled]
-    predicted = scores >= cutoff
-    tp = int((predicted & is_pos).sum())
-    fp = int((predicted & ~is_pos).sum())
-    tn = int((~predicted & ~is_pos).sum())
-    accuracy = (tp + tn) / int(labeled.sum())
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    labels = [Label.POS if p else Label.NEG for p in is_pos]
-    return accuracy, precision, c_statistic(scores, labels)
+    scores, is_pos, labels = _labeled_scores(cohort, model)
+    return (*_accuracy_precision(scores, is_pos, cutoff), c_statistic(scores, labels))
 
 
 def evaluate_two_cutoffs(cohort: Cohort, model: LogisticModel):
     """`evaluate_baseline` at 0.5 and at the labeled records' `optimal_cutoff`, as the
-    (accuracies, precisions, c_statistic, cutoffs) `report.write_baseline_report` takes."""
-    labeled = cohort.labeled_mask
-    scores = predict_scores(cohort, model)[labeled]
-    labels = [Label.POS if p else Label.NEG for p in cohort.pos_mask[labeled]]
+    (accuracies, precisions, c_statistic, cutoffs) `report.write_baseline_report` takes.
+    The records are scored once and the c-statistic is computed once."""
+    scores, is_pos, labels = _labeled_scores(cohort, model)
     cutoff = optimal_cutoff(scores, labels)
-    acc_d, prec_d, c_stat = evaluate_baseline(cohort, model, 0.5)
-    acc_o, prec_o, _ = evaluate_baseline(cohort, model, cutoff)
-    return (acc_d, acc_o), (prec_d, prec_o), c_stat, (0.5, cutoff)
+    acc_d, prec_d = _accuracy_precision(scores, is_pos, 0.5)
+    acc_o, prec_o = _accuracy_precision(scores, is_pos, cutoff)
+    return (acc_d, acc_o), (prec_d, prec_o), c_statistic(scores, labels), (0.5, cutoff)
+
+
+def _labeled_scores(cohort, model):
+    """The labeled records' scores, POS mask and Label list."""
+    labeled = cohort.labeled_mask
+    is_pos = cohort.pos_mask[labeled]
+    labels = [Label.POS if p else Label.NEG for p in is_pos]
+    return predict_scores(cohort, model)[labeled], is_pos, labels
+
+
+def _accuracy_precision(scores, is_pos, cutoff):
+    predicted = scores >= cutoff
+    tp = int((predicted & is_pos).sum())
+    fp = int((predicted & ~is_pos).sum())
+    tn = int((~predicted & ~is_pos).sum())
+    return (tp + tn) / is_pos.size, tp / (tp + fp) if tp + fp > 0 else None

@@ -124,6 +124,8 @@ def impute_unknowns(
     model: FillModel,
     distances: DistanceMatrix,
 ) -> list[ClassificationResult]:
-    """Classify every UNKNOWN record, in cohort order."""
+    """Classify every UNKNOWN record, in cohort order; the model and the
+    matrix are checked even when there is none."""
     model.require_fit(cohort)
+    distances.require_cover(cohort, model.hyperparameters.metric)
     return [classify(rid, cohort, model, distances) for rid in cohort.unknown_ids]

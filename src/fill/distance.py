@@ -145,17 +145,22 @@ class DistanceMatrix:
         self.values.setflags(write=False)
 
     def require_cover(self, cohort: Cohort, metric: Metric) -> None:
-        """Raise ValueError unless the rows are cohort's records, in its
-        order, and the values are in metric's units."""
+        """Raise TypeError unless metric is a Metric, and ValueError unless the
+        rows are cohort's records, in its order, and the values are in metric's units."""
+        _require_metric(metric)
         if self.metric is not metric:
             raise ValueError(f"distance matrix is {self.metric.value}, not {metric.value}")
         if self.ids is not cohort.ids and self.ids != cohort.ids:
             raise ValueError("distance matrix does not cover this cohort")
 
 
-def _require_binary_schema(cohort: Cohort, metric: Metric) -> None:
+def _require_metric(metric) -> None:
     if not isinstance(metric, Metric):
         raise TypeError(f"metric must be a Metric, not {type(metric).__name__}")
+
+
+def _require_binary_schema(cohort: Cohort, metric: Metric) -> None:
+    _require_metric(metric)
     if metric is not Metric.GOWER and cohort.schema.continuous_names:
         raise IncompatibleMetric(
             f"{metric.value} requires a schema without continuous features"

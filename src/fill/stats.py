@@ -6,13 +6,13 @@ before that.
 """
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import betainc, gammaln
 
 from .errors import (
     DegenerateTable,
@@ -28,8 +28,20 @@ _FISHER_REL_TOL = 1e-7
 _LOG1P_TOL = math.log1p(_FISHER_REL_TOL)
 # flattened cells (a, b, c, d) @ _MARGINS = (a + b, a + c, b + d, c + d)
 _MARGINS = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+# _beta_cf (modified Lentz) keeps |c| and |d| above _CF_TINY, and stops once
+# a term moves the fraction by under _CF_EPS relative; with b = 1/2 that
+# takes O(sqrt(a)) terms, far below the cap
+_CF_TINY = 1e-300
+_CF_EPS = 1e-15
+_CF_MAX_TERMS = 20_000
 
-_logfact = gammaln(np.arange(256, dtype=np.float64))
+
+def _lgamma_table(size: int) -> np.ndarray:
+    """lgamma(m) for m = 0, ..., size - 1, with entry 0 = inf (the pole)."""
+    return np.fromiter(itertools.chain([math.inf], map(math.lgamma, range(1, size))), np.float64)
+
+
+_logfact = _lgamma_table(256)
 _logfact_lock = threading.Lock()
 
 
@@ -45,7 +57,7 @@ def _log_factorials(n: int) -> np.ndarray:
         return table
     with _logfact_lock:
         if n + 1 >= _logfact.size:
-            _logfact = gammaln(np.arange(2 * (n + 1), dtype=np.float64))
+            _logfact = _lgamma_table(2 * (n + 1))
         return _logfact
 
 
@@ -359,7 +371,7 @@ def welch_t(xs, ys) -> TestResult:
     """Two-tailed Welch t-test for samples with unequal variances.
 
     Uses the Welch-Satterthwaite degrees of freedom and the regularized
-    incomplete beta function for the tail probability.
+    incomplete beta function for the tail probability (_t_two_tailed).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -382,8 +394,55 @@ def welch_t(xs, ys) -> TestResult:
     ra = a / (a + b)
     rb = b / (a + b)
     df = 1.0 / (ra * ra / (nx - 1) + rb * rb / (ny - 1))
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return TestResult(statistic=t, p_value=min(1.0, p))
+    return TestResult(statistic=t, p_value=min(1.0, _t_two_tailed(t, df)))
+
+
+def _t_two_tailed(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with df > 0: I_x(df/2, 1/2), x = df / (df + t^2).
+
+    The continued fraction converges fast only below x = (a + 1)/(a + b + 2),
+    so above it the tail comes from I_x(a, b) = 1 - I_y(b, a), y = 1 - x.
+    The value is I_x at the double x, so it tracks scipy.special.betainc(a, b, x).
+    """
+    tt = t * t
+    x = df / (df + tt)
+    if x == 0.0 or x == 1.0:
+        return x
+    y = 1.0 - x
+    a = 0.5 * df
+    log_front = (
+        a * math.log(x) + 0.5 * math.log(y)
+        + math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
+    )
+    if x < (a + 1.0) / (a + 2.5):
+        return math.exp(log_front) * _beta_cf(a, 0.5, x) / a
+    return 1.0 - math.exp(log_front) * _beta_cf(0.5, a, y) / 0.5
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) (Press et al., Numerical Recipes,
+    3rd ed., 6.4), evaluated by the modified Lentz method.
+
+    Term k is num * x / ((a + k - 1)(a + k)), with num = m(b - m) for k = 2m
+    and -(a + m)(a + b + m) for k = 2m + 1; the first term sets h directly.
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for k in range(2, _CF_MAX_TERMS):
+        m = k // 2
+        num = -(a + m) * (a + b + m) if k % 2 else m * (b - m)
+        coef = num * x / ((a + k - 1.0) * (a + k))
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+        c = 1.0 + coef / c
+        c = c if abs(c) > _CF_TINY else _CF_TINY
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < _CF_EPS:
+            break
+    return h
 
 
 def bh_fdr(pvals) -> list:

@@ -206,3 +206,21 @@ class TestEvaluateBaseline:
         assert evaluate_two_cutoffs(cohort, model) == (
             (acc_d, acc_o), (prec_d, prec_o), c_stat, (0.5, best)
         )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_two_cutoffs_equal_evaluate_baseline(self, seed):
+        """Scoring once gives evaluate_baseline's values at both cutoffs, including
+        a precision of None when a cutoff predicts nothing POS."""
+        rng = np.random.default_rng(seed)
+        cohort = random_cohort(rng, int(rng.integers(6, 80)), int(rng.integers(1, 6)),
+                               n_unknown=3, n_continuous=int(rng.integers(0, 2)))
+        model = fit_logistic(cohort)
+        labeled = cohort.labeled_mask
+        labels = [POS if v else NEG for v in cohort.pos_mask[labeled]]
+        best = optimal_cutoff(predict_scores(cohort, model)[labeled], labels)
+        accuracies, precisions, c_stat, cutoffs = evaluate_two_cutoffs(cohort, model)
+        assert cutoffs == (0.5, best)
+        for cutoff, accuracy, precision in zip(cutoffs, accuracies, precisions):
+            assert evaluate_baseline(cohort, model, cutoff) == (accuracy, precision, c_stat)
+        unreachable = evaluate_baseline(cohort, model, 1.5)
+        assert unreachable[1] is None and unreachable[2] == c_stat

@@ -107,6 +107,16 @@ class TestClassify:
         with pytest.raises(ValueError, match="manhattan, not jaccard"):
             impute_unknowns(cohort, model, dm)
 
+    def test_matrix_checked_without_unknown_records(self):
+        cohort = make_cohort([[1, 0], [1, 1], [0, 1]], ["POS", "NEG", "POS"])
+        model = FillModel.fit(cohort, hp(0.5, 0.05))
+        assert impute_unknowns(cohort, model, distance_matrix(cohort, Metric.JACCARD)) == []
+        with pytest.raises(ValueError, match="manhattan, not jaccard"):
+            impute_unknowns(cohort, model, distance_matrix(cohort, Metric.MANHATTAN))
+        other = make_cohort([[1, 0], [1, 1], [0, 1]], ["POS", "NEG", "POS"], ids=["a", "b", "c"])
+        with pytest.raises(ValueError, match="does not cover this cohort"):
+            impute_unknowns(cohort, model, distance_matrix(other, Metric.JACCARD))
+
     def test_model_of_another_labeled_set_rejected(self):
         c1 = make_cohort([[1], [0], [1]], ["POS", "NEG", "UNKNOWN"])
         c2 = make_cohort([[1], [0], [1]], ["POS", "UNKNOWN", "UNKNOWN"])

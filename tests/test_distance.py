@@ -245,6 +245,12 @@ class TestMetricType:
         with pytest.raises(TypeError, match="metric must be a Metric, not str"):
             call(cohort)
 
+    def test_string_metric_rejected_by_require_cover(self):
+        cohort = make_cohort([[1, 0, 1], [0, 1, 1], [1, 1, 0]], ["POS", "NEG", "UNKNOWN"])
+        dm = distance_matrix(cohort, Metric.JACCARD)
+        with pytest.raises(TypeError, match="metric must be a Metric, not str"):
+            dm.require_cover(cohort, "jaccard")
+
 
 class TestMatrixLimit:
     def test_limit_admits_paper_scale(self):

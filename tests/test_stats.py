@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, gammaln
 
 from fill.errors import (
     DegenerateTable,
@@ -139,6 +140,15 @@ class TestBinomTail:
 
 
 class TestLogFactorials:
+    def test_table_matches_gammaln(self):
+        """math.lgamma's table is within 1e-15 relative of scipy's gammaln up to
+        20 000, and entry 0 is the same inf."""
+        table = stats._log_factorials(20_000)[:20_001]
+        expected = gammaln(np.arange(20_001, dtype=np.float64))
+        assert table[0] == expected[0] == math.inf
+        assert table[1] == table[2] == 0.0
+        np.testing.assert_allclose(table[1:], expected[1:], rtol=1e-15, atol=0)
+
     def test_small_call_after_large_never_shrinks(self):
         large = stats._log_factorials(5000)
         assert large.size > 5001
@@ -282,6 +292,23 @@ class TestFisherStack:
 
 
 class TestWelchT:
+    def test_tail_matches_betainc(self):
+        """_t_two_tailed(t, df) is betainc(df/2, 1/2, x) at the same double x,
+        within 1e-9 relative, for df from 0.05 to 20 000; t = 0 gives 1, and
+        |t| >= 50 gives tails down to underflow."""
+        rng = np.random.default_rng(2024)
+        dfs = np.exp(rng.uniform(math.log(0.05), math.log(20_000), 4000))
+        ts = rng.standard_normal(4000) * np.exp(rng.uniform(-8, 3, 4000))
+        ts[:100] = 0.0
+        ts[100:600] = rng.choice([-1, 1], 500) * rng.uniform(50, 1e4, 500)
+        dfs[600:900] = rng.uniform(0.05, 1.0, 300)
+        for t, df in zip(ts.tolist(), dfs.tolist()):
+            expected = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+            got = stats._t_two_tailed(t, df)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-300), (t, df)
+        assert stats._t_two_tailed(0.0, 0.3) == 1.0
+        assert stats._t_two_tailed(1e200, 3.0) == 0.0
+
     def test_identical_samples(self):
         res = welch_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert res.statistic == 0.0
