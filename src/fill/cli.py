@@ -21,6 +21,7 @@ from .classify import FillModel, Hyperparameters, impute_unknowns
 from .cohort import (
     Cohort,
     FeatureSchema,
+    decode_text,
     load_cohort,
     select_features,
     write_cohort,
@@ -151,11 +152,12 @@ def load_input(cfg: RunConfig) -> Cohort:
     if not cfg.input:
         raise UsageError("an --input cohort file is required")
     try:
-        with open(cfg.input, encoding="utf-8") as fh:
-            header_line = fh.readline().rstrip("\n")
+        with open(cfg.input, "rb") as fh:
+            first = fh.readline()
     except OSError as exc:
         raise UsageError(f"cannot read {cfg.input}: {exc}") from None
-    header = header_line.split(",")
+    # decode the header line alone: binary readline stops only at LF
+    header = decode_text(first.splitlines()[0] if first else b"").split(",")
     if len(header) < 2:
         raise UsageError("input header must have at least id and label columns")
     feature_cols = header[2:]
@@ -189,7 +191,10 @@ def load_input(cfg: RunConfig) -> Cohort:
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 

@@ -226,6 +226,20 @@ def select_features(cohort: Cohort, names) -> Cohort:
     )
 
 
+def decode_text(data: bytes) -> str:
+    """A cohort file's UTF-8 text with CRLF and CR read as LF; a byte that is
+    not UTF-8 is a MalformedRow naming its line (no character holds CR or LF).
+    """
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(
+            data.count(b"\n", 0, exc.start) + 1,
+            f"not UTF-8 at byte 0x{data[exc.start]:02x} ({exc.reason}); save the file as UTF-8",
+        ) from None
+
+
 def load_cohort(path, schema: FeatureSchema) -> Cohort:
     """Parse and validate a cohort file against the given schema.
 
@@ -236,8 +250,8 @@ def load_cohort(path, schema: FeatureSchema) -> Cohort:
     what this package imputes, never feature values). Lines end at a line
     feed, a carriage return or both; no other character breaks a line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        lines = decode_text(fh.read()).split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines:

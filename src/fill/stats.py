@@ -70,24 +70,12 @@ class TestResult:
 def binom_tail(n: int, p: float) -> np.ndarray:
     """t[k] = P(X >= k) for X ~ Binomial(n, p) and k = 0, ..., n + 1.
 
-    t is exactly non-increasing in k, t[0] is 1 and t[n + 1] is 0. This is
-    the one-row case of binom_tails, kept 1-D because small 2-D numpy
-    operations cost more per call.
+    t is exactly non-increasing in k, t[0] is 1 and t[n + 1] is 0.
     """
     n = int(n)
     if n < 0 or not (0.0 <= p <= 1.0) or not math.isfinite(p):
         raise InvalidArguments(f"binom_tail(n={n}, p={p})")
-    return _tails(n, n, float(p))
-
-
-def binom_tails(sizes, p: float) -> np.ndarray:
-    """Row i is binom_tail(sizes[i], p), zero-padded to max(sizes) + 2 entries.
-
-    All rows are built in one pass, so the caller bounds the memory by the
-    number of sizes it passes at once.
-    """
-    sizes = _checked_sizes(sizes, p, "binom_tails")
-    return _tails(sizes.astype(np.int64)[:, None], int(sizes.max(initial=-1)), float(p))
+    return _tails(n, float(p))
 
 
 def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
@@ -95,17 +83,26 @@ def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
 
     A table is non-increasing, so c[i, t] is also the least k with
     P(X >= k) < thresholds[t]. Each count equals the one read from the
-    full binom_tails row, but only a window of the row is summed (see
+    whole binom_tail table, but only a window of it is summed (see
     _tail_window). Thresholds must lie in (0, 1].
     """
-    sizes = _checked_sizes(sizes, p, "binom_tail_counts")
+    sizes = np.asarray(sizes)
+    if (
+        sizes.ndim != 1
+        or (sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 0))
+        or not (0.0 <= p <= 1.0)
+        or not math.isfinite(p)
+    ):
+        raise InvalidArguments(f"binom_tail_counts(sizes={sizes!r}, p={p})")
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.ndim != 1 or not ((thresholds > 0.0) & (thresholds <= 1.0)).all():
         raise InvalidArguments(f"binom_tail_counts(thresholds={thresholds!r})")
     n = sizes.astype(np.int64)[:, None]
     p = float(p)
     if p == 0.0 or p == 1.0 or n.size == 0:
-        return _count(_tails(n, int(sizes.max(initial=-1)), p), thresholds)
+        # a table is 1 up to k = 0 (p = 0) or k = n (p = 1) and 0 after
+        # it, and every threshold lies in (0, 1]
+        return np.repeat(n + 1 if p == 1.0 else np.ones_like(n), thresholds.size, axis=1)
     lo, hi = _tail_window(n, p)
     window, edge = _window_tails(n, lo, hi, p)
     counts = lo + _count(window, thresholds)
@@ -130,43 +127,23 @@ def _count(tails, thresholds):
     return a
 
 
-def _checked_sizes(sizes, p, name):
-    sizes = np.asarray(sizes)
-    if (
-        sizes.ndim != 1
-        or (sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 0))
-        or not (0.0 <= p <= 1.0)
-        or not math.isfinite(p)
-    ):
-        raise InvalidArguments(f"{name}(sizes={sizes!r}, p={p})")
-    return sizes
+def _tails(n: int, p: float) -> np.ndarray:
+    """binom_tail(n, p) for a checked n and p.
 
-
-def _tails(n, n_max, p):
-    """Whole tail tables: n is an int (one 1-D table) or a column of sizes
-    (a padded stack).
-
-    _window_tails sums a window [lo, hi) of the same tables with the same
+    _window_tails sums a window [lo, hi) of the same table with the same
     _log_terms and _sum_tails, and its entries are these bits: from
     lo = mode - 2 up the shift and the reverse cumsum are unchanged, and
     from hi up every term is an exact 0 (see _tail_window).
     """
-    stack = not isinstance(n, int)
-    tails = np.zeros((n.shape[0], n_max + 2) if stack else n_max + 2)
-    head = tails[..., :-1]
-    j = np.arange(n_max + 1)
+    tails = np.zeros(n + 2)
     if p == 0.0 or p == 1.0:
-        np.multiply(j <= n, p, out=head)
-    elif n_max >= 0:
-        lf = _log_factorials(n_max + 1)
+        tails[: n + 1] = p
+    else:
+        lf = _log_factorials(n + 1)
+        j = np.arange(n + 1)
         # the same log terms as lf[1 + j] and lf[n + 1 - j], from views
-        log_j = lf[1 : n_max + 2]
-        log_rest = lf[n + 1 - j] if stack else lf[n + 1 : 0 : -1]
-        # a padded j > n wraps the index above to a finite value; it is
-        # left out of the shift and its term is an exact 0
-        valid = j <= n if stack else None
-        _sum_tails(head, _log_terms(lf, n, j, p, log_j, log_rest), valid)
-    tails[..., 0] = 1.0
+        _sum_tails(tails[:-1], _log_terms(lf, n, j, p, lf[1 : n + 2], lf[n + 1 : 0 : -1]))
+    tails[0] = 1.0
     return tails
 
 
@@ -176,7 +153,7 @@ def _log_terms(lf, n, j, p, log_j=None, log_rest=None):
     log C(n, j) = log n! - log j! - log (n - j)!, from lf = _log_factorials;
     log_j and log_rest may be passed as cheaper views of lf[1 + j] and
     lf[n + 1 - j]. Every element depends only on its own (n, j), so a term
-    has the same bits in any table, window or stack.
+    has the same bits in a whole table and in any window of it.
     """
     if log_j is None:
         log_j, log_rest = lf[1 + j], lf[n + 1 - j]
@@ -186,12 +163,12 @@ def _log_terms(lf, n, j, p, log_j=None, log_rest=None):
 def _sum_tails(out, log_terms, valid=None):
     """out[..., c] = min(1, sum of the terms at columns >= c); returns the shifts.
 
-    One row of log terms, or a stack of rows with `valid` marking the
-    columns that hold a term. The log-sum-exp pattern: a row's shift is its
-    largest term and its tail is one reverse cumulative sum, scaled back.
-    A left-out column is an exact 0, so a row has the same bits in any
-    stack, and a running sum of non-negative terms never decreases, so a
-    row is exactly non-increasing.
+    One table's log terms (1-D: small 2-D numpy calls cost more), or a
+    stack of windows with `valid` marking the columns that hold a term.
+    Log-sum-exp: a row's shift is its largest term and its tail is one
+    reverse cumulative sum, scaled back. A left-out column is an exact 0,
+    so a row has the same bits in any stack, and a running sum of
+    non-negative terms never decreases, so a row is exactly non-increasing.
     """
     if valid is None:
         shift = float(log_terms.max())
@@ -213,18 +190,18 @@ _UNDERFLOW = -750.0
 
 
 def _tail_window(n, p):
-    """[lo, hi) per row: the k whose binom_tails entries binom_tail_counts sums.
+    """[lo, hi) per size: the k whose binom_tail entries binom_tail_counts sums.
 
     With 0 < p < 1, the window is exact:
-    - lo = max(0, mode - 2). A row's shift is its largest term, at the
+    - lo = max(0, mode - 2). A table's shift is its largest term, at the
       mode, and its reverse cumsum runs from k = n down, so the entries at
       k >= lo have the same bits whether or not the terms below lo are
       summed.
     - hi is the first k above the mode whose log term is below the mode's
       by more than 750, found by bisection. The log pmf is concave, so
       from hi up every term is exp(< -745.13), an exact 0: it leaves the
-      cumsum's bits unchanged, and the row is 0 from hi on.
-    - binom_tail_counts sums a row again from lo = 0 when its entry at lo
+      cumsum's bits unchanged, and the table is 0 from hi on.
+    - binom_tail_counts sums a table again from lo = 0 when its entry at lo
       is below the largest threshold (then an entry below lo may be, too)
       or its window's largest term is the one at lo (then the shift may
       lie below lo). Otherwise every entry below lo is >= every threshold.
@@ -265,7 +242,8 @@ def _window_tails(n, lo, hi, p):
 def _shared_tail(n: int, p: float) -> np.ndarray:
     # Read-only: every binom_sf call for this (n, p) reads this one table.
     # Bounded, so it holds at most 256 tables of the largest n seen.
-    tail = binom_tail(n, p)
+    # binom_sf has checked n and p.
+    tail = _tails(n, p)
     tail.setflags(write=False)
     return tail
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fill.cohort import Label
-from fill.stats import binom_tails
+from fill.stats import binom_tail
 
 
 # --- cohort files, one cell at a time ---
@@ -91,17 +91,18 @@ def direct_binom_sf(k, n, p) -> float:
 
 
 def full_table_k_star(sizes, p0, thresholds):
-    """k*[n, t] for the given sizes, counted over each whole binom_tails row.
+    """k*[n, t] for the given sizes, counted over each whole binom_tail table.
 
-    The count of entries >= T in the full, zero-padded table of every
-    size, one threshold at a time: the k* the grid read before its tables
+    The count of entries >= T in the full table of every size, one size
+    and one threshold at a time: the k* the grid read before its tables
     were windowed. Indexed like tune._decision_thresholds.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     k_star = np.zeros((int(sizes.max()) + 1, len(thresholds)), dtype=np.int64)
-    tails = binom_tails(sizes, p0)
-    for t, threshold in enumerate(thresholds):
-        k_star[sizes, t] = np.count_nonzero(tails >= threshold, axis=1)
+    for n in sizes.tolist():
+        tail = binom_tail(n, p0)
+        for t, threshold in enumerate(thresholds):
+            k_star[n, t] = np.count_nonzero(tail >= threshold)
     return k_star
 
 

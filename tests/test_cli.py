@@ -504,6 +504,33 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize("line_no", [1, 6])
+    def test_non_utf8_byte_exit_1(self, synth_dir, tmp_path, capsys, line_no):
+        lines = (synth_dir / "synthetic_cohort.csv").read_bytes().split(b"\n")
+        lines[line_no - 1] = b"r\xe9" + lines[line_no - 1][1:]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\n".join(lines))
+        assert run(["tune", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: not UTF-8 at byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_out_naming_a_file(self, synth_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out in (afile, afile / "sub"):
+            code = run(
+                [
+                    "loo", "--input", str(synth_dir / "synthetic_cohort.csv"),
+                    "--metric", "jaccard", "--radius", "0.5", "--pvalue", "0.05",
+                    "--out", str(out),
+                ]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot create output directory {out}: ")
+            assert err.count("\n") == 1
+
     def test_interleaved_continuous_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(

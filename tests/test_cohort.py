@@ -160,6 +160,19 @@ class TestLoadCohort:
         assert err.value.line_no == 3
         assert err.value.reason == f"record id {rid!r} holds a control character"
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("line_no", [1, 6])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, eol, line_no):
+        lines = ["record_id,label,b0,b1,age"] + [f"p{i},POS,1,0,5.0" for i in range(6)]
+        data = bytearray(eol.join(lines).encode())
+        data[data.index(lines[line_no - 1].encode()) + 1] = 0xE9
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(bytes(data))
+        with pytest.raises(MalformedRow) as err:
+            load_cohort(path, SCHEMA)
+        assert err.value.line_no == line_no
+        assert "0xe9" in err.value.reason
+
     def test_line_endings_load_alike(self, tmp_path):
         # text mode reads CR and CRLF as LF, so no id can end in a CR
         text = "record_id,label,b0,b1,age\np1,POS,1,0,62.5\np2,NEG,0,1,41.0\n"

@@ -228,6 +228,14 @@ class TestDistanceMatrix:
         assert dm.degenerate_pairs == degenerate
         if metric is not Metric.MANHATTAN and n_continuous == 0:
             assert degenerate > 0
+        # a record's 1-row block against the labeled records, as a
+        # neighborhood reads it: rows at the block edges, an UNKNOWN
+        # record and an all-zero row
+        labeled = np.flatnonzero(cohort.labeled_mask)
+        unknown = int(np.flatnonzero(~cohort.labeled_mask)[0])
+        for i in sorted({0, 255, 256, n - 1, unknown, 250} & set(range(n))):
+            row, _ = distance_block(cohort, metric, [i], labeled)
+            assert row[0].tobytes() == values[i, labeled].tobytes()
 
 
 class TestMetricType:

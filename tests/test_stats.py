@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, gammaln
 
@@ -16,7 +16,7 @@ from fill.errors import (
 )
 from fill import stats
 from fill.stats import (
-    bh_fdr, binom_sf, binom_tail, binom_tail_counts, binom_tails, fisher_exact, welch_t,
+    bh_fdr, binom_sf, binom_tail, binom_tail_counts, fisher_exact, welch_t,
 )
 
 from oracles import (
@@ -96,36 +96,11 @@ class TestBinomTail:
             with pytest.raises(InvalidArguments):
                 binom_tail(n, p)
 
-    @given(
-        sizes=st.lists(st.integers(0, 80), min_size=1, max_size=8),
-        p=st.one_of(
-            st.sampled_from([0.0, 1.0, 875 / 2418]),
-            st.floats(0.0, 1.0, allow_nan=False),
-        ),
-    )
-    @example(sizes=[0], p=875 / 2418)
-    @example(sizes=[17, 0, 3, 17], p=0.0)
-    @example(sizes=[0, 40, 1], p=1.0)
-    @settings(deadline=None)
-    def test_stack_rows_bitwise_equal_single_tables(self, sizes, p):
-        tails = binom_tails(sizes, p)
-        assert tails.shape == (len(sizes), max(sizes) + 2)
-        for row, n in zip(tails, sizes):
-            assert row[: n + 2].tobytes() == binom_tail(n, p).tobytes()
-            assert not row[n + 2 :].any()
-
-    def test_stack_invalid_arguments(self):
-        assert binom_tails([], 0.3).shape == (0, 1)
-        for sizes, p in (
-            ([3, -1], 0.5), ([[3]], 0.5), ([2.5], 0.5), ([3], 1.5), ([3], float("nan")),
-        ):
-            with pytest.raises(InvalidArguments):
-                binom_tails(sizes, p)
-
     def test_tail_counts_invalid_arguments(self):
         assert binom_tail_counts([], 0.3, [0.1]).shape == (0, 1)
         for sizes, p, thresholds in (
-            ([3, -1], 0.5, [0.1]), ([3], 1.5, [0.1]), ([3], 0.5, [0.0]),
+            ([3, -1], 0.5, [0.1]), ([[3]], 0.5, [0.1]), ([2.5], 0.5, [0.1]),
+            ([3], 1.5, [0.1]), ([3], float("nan"), [0.1]), ([3], 0.5, [0.0]),
             ([3], 0.5, [1.5]), ([3], 0.5, [[0.1]]), ([3], 0.5, [float("nan")]),
         ):
             with pytest.raises(InvalidArguments):
