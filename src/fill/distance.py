@@ -6,10 +6,10 @@ time from `distance_block`. Binary counts come from one exact float64
 matmul and the Gower terms are added in schema order, so a given pair
 gets the same bits from every entry point and block shape.
 
-A Jaccard or Manhattan distance depends only on a pair's mismatch and
-union counts, so `pair_codes` can stand in for a block of distances: one
-integer code per pair, whose value `code_values` gives with `_block`'s
-arithmetic.
+Without continuous features, every metric's distance depends only on a
+pair's mismatch and union counts (Gower's is then Jaccard's), so
+`pair_codes` can stand in for a block of distances: one integer code per
+pair, whose value `code_values` gives with `_block`'s arithmetic.
 """
 
 from dataclasses import dataclass
@@ -201,12 +201,13 @@ def code_values(cohort: Cohort, metric: Metric) -> np.ndarray:
     """Distance of each pair code mismatch * (F + 1) + union, F binary features.
 
     The values are `_block`'s: mismatch for Manhattan, and mismatch / union
-    for Jaccard, with union 0 (two all-zero records) at 0. Codes that no
-    pair has (mismatch > union) get values too and are never looked up.
+    for Jaccard and binary-only Gower, with union 0 (two all-zero records)
+    at 0. Codes that no pair has (mismatch > union) get values too and are
+    never looked up. A schema with continuous features has no pair codes.
     """
-    if metric is Metric.GOWER:
-        raise IncompatibleMetric("gower distances have no pair codes")
-    _require_binary_schema(cohort, metric)
+    _require_metric(metric)
+    if cohort.schema.continuous_names:
+        raise IncompatibleMetric("pair codes require a schema without continuous features")
     width = cohort.binary.shape[1] + 1
     mismatch, union = np.divmod(np.arange(width * width, dtype=np.float64), width)
     if metric is Metric.MANHATTAN:

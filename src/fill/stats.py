@@ -99,7 +99,7 @@ def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
         raise InvalidArguments(f"binom_tail_counts(thresholds={thresholds!r})")
     n = sizes.astype(np.int64)[:, None]
     p = float(p)
-    if p == 0.0 or p == 1.0 or n.size == 0:
+    if p == 0.0 or p == 1.0 or n.size == 0 or thresholds.size == 0:
         # a table is 1 up to k = 0 (p = 0) or k = n (p = 1) and 0 after
         # it, and every threshold lies in (0, 1]
         return np.repeat(n + 1 if p == 1.0 else np.ones_like(n), thresholds.size, axis=1)

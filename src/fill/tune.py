@@ -101,12 +101,12 @@ def _labeled_blocks(cohort, rows, block, own):
         yield start, values
 
 
-def _codes_fit(cohort, metric) -> bool:
-    """Whether the grid counts from pair codes, not from distance blocks:
-    Jaccard and Manhattan, while the code tables, (F + 1)**2 entries for F
-    binary features, are no larger than the n x n_labeled pairs they count."""
+def _codes_fit(cohort) -> bool:
+    """Whether the grid counts from pair codes, not from distance blocks: the
+    cohort has no continuous features, and its code tables, (F + 1)**2 entries
+    for F binary features, are no larger than the n x n_labeled pairs they count."""
     pairs = len(cohort) * int(cohort.labeled_mask.sum())
-    return metric is not Metric.GOWER and (cohort.binary.shape[1] + 1) ** 2 <= pairs
+    return not cohort.schema.continuous_names and (cohort.binary.shape[1] + 1) ** 2 <= pairs
 
 
 def _code_source(cohort):
@@ -138,7 +138,7 @@ def _neighborhood_counts(cohort, metric, radii):
     rows = np.arange(len(cohort))
     n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
     k_arr = np.empty_like(n_arr)
-    if _codes_fit(cohort, metric):
+    if _codes_fit(cohort):
         width = len(radii) + 1
         bucket = np.searchsorted(radii, code_values(cohort, metric), "left")
         codes = _code_source(cohort)
@@ -216,11 +216,9 @@ def _grid_metrics(cohort, metric, radii, thresholds) -> list[LooMetrics]:
     ]
 
 
-def loo_evaluate(
-    cohort: Cohort, hp: Hyperparameters, distances: DistanceMatrix | None = None
-) -> LooMetrics:
+def loo_evaluate(cohort: Cohort, hp: Hyperparameters) -> LooMetrics:
     """Leave-one-out counts for one hyperparameter pair: the 1 x 1 `evaluate_grid`."""
-    return evaluate_grid(cohort, hp.metric, (hp.radius,), (hp.p_threshold,), distances)[0].metrics
+    return evaluate_grid(cohort, hp.metric, (hp.radius,), (hp.p_threshold,))[0].metrics
 
 
 def _quantile_radii(values, counts) -> tuple[float, ...]:
@@ -255,7 +253,7 @@ def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
     """
     _require_binary_schema(cohort, metric)
     labeled = np.flatnonzero(cohort.labeled_mask)
-    if _codes_fit(cohort, metric):
+    if _codes_fit(cohort):
         values = code_values(cohort, metric)
         histogram = np.zeros(values.size + 1, dtype=np.int64)
         for _, codes in _labeled_blocks(cohort, labeled, _code_source(cohort), values.size):
@@ -302,22 +300,15 @@ def _rank_key(cell: GridCell, criterion):
 
 
 def evaluate_grid(
-    cohort: Cohort,
-    metric: Metric,
-    radius_grid=None,
-    threshold_grid=None,
-    distances: DistanceMatrix | None = None,
+    cohort: Cohort, metric: Metric, radius_grid=None, threshold_grid=None
 ) -> tuple[GridCell, ...]:
     """LOO metrics for every (radius, threshold) pair, sorted by (S, T).
 
     The counts and default radii come from pair codes or from distance
-    blocks, as `_codes_fit` chooses. Both give the same cells, and neither
-    builds the n x n matrix: a passed `distances` is only checked to cover
-    the cohort in this metric.
+    blocks, as `_codes_fit` chooses from the cohort alone. Both give the
+    same cells, and neither builds the n x n matrix.
     """
     _require_binary_schema(cohort, metric)
-    if distances is not None:
-        distances.require_cover(cohort, metric)
     if radius_grid is None:
         radius_grid = default_radius_grid(cohort, metric)
     if threshold_grid is None:
@@ -356,8 +347,12 @@ def grid_search(
     criterion=CriterionA(),
     distances: DistanceMatrix | None = None,
 ) -> GridSearchReport:
-    """Evaluate the grid and select the criterion's winner."""
-    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances)
+    """Evaluate the grid and select the criterion's winner. A passed
+    `distances` is only checked, before the grid runs, to cover the cohort
+    in this metric; the grid never reads it."""
+    if distances is not None:
+        distances.require_cover(cohort, metric)
+    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid)
     winner = select_winner(cells, criterion)
     return GridSearchReport(grid=cells, winner=winner, criterion=criterion)
 
@@ -368,14 +363,13 @@ def precision_yield_frontier(
     radius_grid=None,
     threshold_grid=None,
     thresholds=(0.80, 0.85, 0.90, 0.95),
-    distances: DistanceMatrix | None = None,
 ) -> list[FrontierPoint]:
     """Best yield at each precision floor, plus the unconstrained point.
 
     The grid is evaluated once; each floor just re-selects a winner, so the
     feasible sets nest and yields are weakly monotone in the floor.
     """
-    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid, distances)
+    cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid)
     points = []
     for floor in list(thresholds) + [0.0]:
         try:

@@ -163,18 +163,14 @@ def test_criterion_4_distance_oracles():
 def test_criterion_5_loo_and_grid_vs_brute_force(seed7):
     with criterion(5, "seed-7 LOO + grid winners match brute force on 10x8 grid"):
         start = time.time()
-        cohort, _, distances = seed7
-        cells = evaluate_grid(
-            cohort, Metric.JACCARD, GRID_RADII, GRID_THRESHOLDS, distances=distances
-        )
+        cohort, _, _ = seed7
+        cells = evaluate_grid(cohort, Metric.JACCARD, GRID_RADII, GRID_THRESHOLDS)
         assert len(cells) == 80
         pair_cache = {}
         flat = []
         for cell in cells:
             metrics = loo_evaluate(
-                cohort,
-                Hyperparameters(cell.radius, cell.p_threshold, Metric.JACCARD),
-                distances,
+                cohort, Hyperparameters(cell.radius, cell.p_threshold, Metric.JACCARD)
             )
             assert metrics == cell.metrics  # grid path == single-cell path
             tp, fp, precision, yld = brute_force_cell(
@@ -260,10 +256,8 @@ def test_criterion_7a_fill_beats_logistic_on_seed7(seed7):
 
 def test_criterion_7b_frontier_monotonicity(seed7):
     with criterion(7, "b: winner TP under B(0.80) >= TP under B(0.95)"):
-        cohort, _, distances = seed7
-        cells = evaluate_grid(
-            cohort, Metric.JACCARD, GRID_RADII, GRID_THRESHOLDS, distances=distances
-        )
+        cohort, _, _ = seed7
+        cells = evaluate_grid(cohort, Metric.JACCARD, GRID_RADII, GRID_THRESHOLDS)
         tp_by_floor = {}
         for floor in (0.80, 0.95):
             try:
@@ -280,10 +274,8 @@ def test_criterion_7b_frontier_monotonicity(seed7):
         # and on the independent unit-test cohort
         rng = np.random.default_rng(99)
         other = random_cohort(rng, 80, 8, n_unknown=20)
-        other_dm = distance_matrix(other, Metric.JACCARD)
         other_cells = evaluate_grid(
-            other, Metric.JACCARD, (0.0, 0.25, 0.5, 0.75, 1.0),
-            (0.001, 0.01, 0.05, 0.2), distances=other_dm,
+            other, Metric.JACCARD, (0.0, 0.25, 0.5, 0.75, 1.0), (0.001, 0.01, 0.05, 0.2)
         )
         pairs = {}
         for floor in (0.80, 0.95):

@@ -449,7 +449,7 @@ class TestLooAndBaselineCommands:
             return (out / "loo_report.json").read_bytes()
 
         with monkeypatch.context() as patch:
-            patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
             expected = loo(tmp_path / "matrix")
 
         def refuse(*args, **kwargs):

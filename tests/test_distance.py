@@ -83,6 +83,10 @@ class TestScalarMetrics:
     def test_gower_equals_jaccard_on_pure_binary(self, pair):
         a, b = pair
         assert gower(a, b, [], [], []) == jaccard(a, b)
+        # Gower's pair-code table, which the grid counts with, is Jaccard's too
+        cohort = make_cohort([a, b], ["POS", "NEG"])
+        expected = code_values(cohort, Metric.JACCARD).tobytes()
+        assert code_values(cohort, Metric.GOWER).tobytes() == expected
 
     @given(paired_bits())
     @settings(deadline=None)
@@ -129,6 +133,10 @@ class TestDistanceMatrix:
         with pytest.raises(IncompatibleMetric):
             distance_matrix(cohort, Metric.MANHATTAN)
         distance_matrix(cohort, Metric.GOWER)
+        # no metric has pair codes over continuous features
+        for metric in Metric:
+            with pytest.raises(IncompatibleMetric, match="without continuous features"):
+                code_values(cohort, metric)
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_matrix_matches_scalar_bitwise(self, metric):

@@ -98,6 +98,9 @@ class TestBinomTail:
 
     def test_tail_counts_invalid_arguments(self):
         assert binom_tail_counts([], 0.3, [0.1]).shape == (0, 1)
+        for p in (0.0, 0.5, 1.0):
+            counts = binom_tail_counts([3], p, [])
+            assert counts.shape == (1, 0) and counts.dtype == np.int64
         for sizes, p, thresholds in (
             ([3, -1], 0.5, [0.1]), ([[3]], 0.5, [0.1]), ([2.5], 0.5, [0.1]),
             ([3], 1.5, [0.1]), ([3], float("nan"), [0.1]), ([3], 0.5, [0.0]),

@@ -51,8 +51,7 @@ class TestLooEvaluate:
     def test_radius_zero_duplicate_free(self):
         rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
         cohort = make_cohort(rows, ["POS", "NEG", "POS", "UNKNOWN"])
-        dm = distance_matrix(cohort, Metric.JACCARD)
-        metrics = loo_evaluate(cohort, hp(0.0, 0.05), dm)
+        metrics = loo_evaluate(cohort, hp(0.0, 0.05))
         assert metrics.true_positives == 0
         assert metrics.false_positives == 0
         assert metrics.precision is None
@@ -60,13 +59,12 @@ class TestLooEvaluate:
 
     def test_too_few_labeled(self):
         cohort = make_cohort([[1], [0]], ["POS", "UNKNOWN"])
-        dm = distance_matrix(cohort, Metric.JACCARD)
         with pytest.raises(TooFewLabeled):
-            loo_evaluate(cohort, hp(0.5, 0.05), dm)
+            loo_evaluate(cohort, hp(0.5, 0.05))
 
     def test_matches_classify_loop(self, medium_cohort, medium_distances):
         pair = hp(0.4, 0.05)
-        metrics = loo_evaluate(medium_cohort, pair, medium_distances)
+        metrics = loo_evaluate(medium_cohort, pair)
         model = FillModel.fit(medium_cohort, pair)
         tp = fp = newly = 0
         for rid, label in zip(medium_cohort.ids, medium_cohort.labels):
@@ -84,13 +82,12 @@ class TestLooEvaluate:
         assert metrics.yield_proportion == newly / n_labeled
 
     def test_matches_brute_force(self, medium_cohort):
-        dm = distance_matrix(medium_cohort, Metric.JACCARD)
         cache = {}
         n_labeled = int(medium_cohort.labeled_mask.sum())
         n_pos = int(medium_cohort.pos_mask.sum())
         for radius in (0.0, 0.3, 0.6, 1.0):
             for threshold in (0.001, 0.05, 0.5):
-                got = loo_evaluate(medium_cohort, hp(radius, threshold), dm)
+                got = loo_evaluate(medium_cohort, hp(radius, threshold))
                 tp, fp, precision, yld = brute_force_cell(
                     medium_cohort, "jaccard", radius, threshold, cache
                 )
@@ -133,10 +130,7 @@ class TestMetricArithmetic:
 
 class TestGridSearch:
     def test_unique_feasible_cell_wins_criterion_a(self, medium_cohort, medium_distances):
-        cells = evaluate_grid(
-            medium_cohort, Metric.JACCARD, (0.0, 0.4, 0.8), (0.01, 0.2),
-            distances=medium_distances,
-        )
+        cells = evaluate_grid(medium_cohort, Metric.JACCARD, (0.0, 0.4, 0.8), (0.01, 0.2))
         tps = sorted({c.metrics.true_positives for c in cells}, reverse=True)
         # pick a bound that exactly one cell satisfies, if the data allows
         for bound in tps:
@@ -153,10 +147,7 @@ class TestGridSearch:
     def test_winner_matches_brute_force(self, medium_cohort, medium_distances):
         radii = (0.0, 0.25, 0.5, 0.75, 1.0)
         thresholds = (0.001, 0.01, 0.05, 0.2)
-        cells = evaluate_grid(
-            medium_cohort, Metric.JACCARD, radii, thresholds,
-            distances=medium_distances,
-        )
+        cells = evaluate_grid(medium_cohort, Metric.JACCARD, radii, thresholds)
         flat = [
             (c.radius, c.p_threshold, c.metrics.true_positives,
              c.metrics.false_positives, c.metrics.precision,
@@ -211,16 +202,14 @@ class TestGridSearch:
         assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan")])
-    def test_invalid_radius_rejected(self, medium_cohort, medium_distances, bad):
+    def test_invalid_radius_rejected(self, medium_cohort, bad):
         with pytest.raises(InvalidGrid):
-            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5, bad), (0.05,),
-                          distances=medium_distances)
+            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5, bad), (0.05,))
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, float("nan")])
-    def test_invalid_threshold_rejected(self, medium_cohort, medium_distances, bad):
+    def test_invalid_threshold_rejected(self, medium_cohort, bad):
         with pytest.raises(InvalidGrid):
-            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5,), (0.05, bad),
-                          distances=medium_distances)
+            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5,), (0.05, bad))
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_default_radius_grid_matches_triu_reference(self, metric, monkeypatch):
@@ -233,10 +222,11 @@ class TestGridSearch:
         sub = dm.values[np.ix_(labeled, labeled)]
         pairs = sub[np.triu_indices(labeled.size, k=1)]
         expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
-        # Jaccard and Manhattan take the code histogram here, then every
-        # metric the upper triangle of distance blocks
+        # Jaccard and Manhattan take the code histogram here and Gower, whose
+        # cohort has continuous columns, the upper triangle of distance
+        # blocks; then every metric takes the upper triangle
         assert default_radius_grid(cohort, metric) == expected
-        monkeypatch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+        monkeypatch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
         assert default_radius_grid(cohort, metric) == expected
 
     def test_default_grids(self, medium_cohort, medium_distances):
@@ -250,20 +240,18 @@ class TestGridSearch:
 
 
 class TestFrontier:
-    def test_infeasible_floor_flagged(self, medium_cohort, medium_distances):
+    def test_infeasible_floor_flagged(self, medium_cohort):
         points = precision_yield_frontier(
-            medium_cohort, Metric.JACCARD, (0.0,), (0.001,),
-            thresholds=(0.80,), distances=medium_distances,
+            medium_cohort, Metric.JACCARD, (0.0,), (0.001,), thresholds=(0.80,)
         )
         assert len(points) == 2  # requested floor + unconstrained
         assert points[0].min_precision == 0.80
         assert points[0].winner is None
 
-    def test_feasible_floors_nest(self, medium_cohort, medium_distances):
+    def test_feasible_floors_nest(self, medium_cohort):
         points = precision_yield_frontier(
             medium_cohort, Metric.JACCARD,
             (0.0, 0.25, 0.5, 0.75, 1.0), (0.001, 0.01, 0.05, 0.2),
-            distances=medium_distances,
         )
         feasible = {p.min_precision: p.winner.metrics for p in points if p.winner}
         floors = sorted(feasible)
@@ -273,17 +261,11 @@ class TestFrontier:
             if p.winner and p.min_precision > 0:
                 assert p.winner.metrics.precision >= p.min_precision
 
-    def test_unconstrained_point_is_max_tp(self, medium_cohort, medium_distances):
+    def test_unconstrained_point_is_max_tp(self, medium_cohort):
         radii = (0.0, 0.25, 0.5, 0.75, 1.0)
         thresholds = (0.001, 0.01, 0.05, 0.2)
-        points = precision_yield_frontier(
-            medium_cohort, Metric.JACCARD, radii, thresholds,
-            distances=medium_distances,
-        )
-        cells = evaluate_grid(
-            medium_cohort, Metric.JACCARD, radii, thresholds,
-            distances=medium_distances,
-        )
+        points = precision_yield_frontier(medium_cohort, Metric.JACCARD, radii, thresholds)
+        cells = evaluate_grid(medium_cohort, Metric.JACCARD, radii, thresholds)
         max_tp = max(
             c.metrics.true_positives for c in cells if c.metrics.precision is not None
         )
@@ -305,10 +287,12 @@ class TestCountKernel:
     def test_grid_and_loo_match_brute_force(self, seed, metric, data):
         rng = np.random.default_rng(seed)
         n_records = int(rng.integers(3, 16))
+        # Gower without continuous columns counts from pair codes, with them
+        # from sorted rows
         cohort = random_cohort(
             rng, n_records, int(rng.integers(1, 6)),
             n_unknown=int(rng.integers(0, n_records - 1)),
-            n_continuous=2 if metric is Metric.GOWER else 0,
+            n_continuous=data.draw(st.sampled_from([0, 2])) if metric is Metric.GOWER else 0,
         )
         dm = distance_matrix(cohort, metric)
         # radii taken from the distances themselves exercise the closed ball's <= tie
@@ -317,7 +301,7 @@ class TestCountKernel:
         radii = data.draw(
             st.lists(st.sampled_from(values + [float("inf")]), min_size=1, max_size=4)
         )
-        cells = evaluate_grid(cohort, metric, radii, self.THRESHOLDS, distances=dm)
+        cells = evaluate_grid(cohort, metric, radii, self.THRESHOLDS)
         cache = {}
         for cell in cells:
             m = cell.metrics
@@ -326,7 +310,7 @@ class TestCountKernel:
                 cohort, metric.value, cell.radius, cell.p_threshold, cache
             )
             pair = Hyperparameters(cell.radius, cell.p_threshold, metric)
-            assert loo_evaluate(cohort, pair, dm) == m
+            assert loo_evaluate(cohort, pair) == m
 
     @pytest.mark.parametrize("seed", [7, 1009])
     def test_tail_decisions_match_scipy(self, seed):
@@ -425,19 +409,15 @@ class TestDistancesMatchCohort:
     def test_matrix_of_another_cohort_rejected(self, medium_cohort):
         other = distance_matrix(reversed_cohort(medium_cohort), Metric.JACCARD)
         with pytest.raises(ValueError, match="does not cover this cohort"):
-            evaluate_grid(medium_cohort, Metric.JACCARD, (0.5,), (0.05,), distances=other)
-        with pytest.raises(ValueError, match="does not cover this cohort"):
             grid_search(medium_cohort, Metric.JACCARD, distances=other)
-        with pytest.raises(ValueError, match="does not cover this cohort"):
-            loo_evaluate(medium_cohort, hp(0.5, 0.05), other)
 
     def test_matrix_of_another_metric_rejected(self, medium_cohort, medium_distances):
         with pytest.raises(ValueError, match="jaccard, not manhattan"):
-            evaluate_grid(medium_cohort, Metric.MANHATTAN, (1.0,), (0.05,),
-                          distances=medium_distances)
-        gower = Hyperparameters(radius=0.5, p_threshold=0.05, metric=Metric.GOWER)
+            grid_search(medium_cohort, Metric.MANHATTAN, (1.0,), (0.05,),
+                        distances=medium_distances)
         with pytest.raises(ValueError, match="jaccard, not gower"):
-            loo_evaluate(medium_cohort, gower, medium_distances)
+            grid_search(medium_cohort, Metric.GOWER, (0.5,), (0.05,),
+                        distances=medium_distances)
 
 
 def refuse_matrix(*args, **kwargs):
@@ -451,7 +431,7 @@ def refuse_matrix_path(*args, **kwargs):
 def matrix_path_cells(cohort, metric, radii):
     """evaluate_grid's cells with the sorted-row path forced."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+        patch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
         for module in (fill.tune, fill.distance):
             patch.setattr(module, "distance_matrix", refuse_matrix)
         return evaluate_grid(cohort, metric, radii)
@@ -478,19 +458,13 @@ class TestRowBlockCounts:
         cohort = random_cohort(np.random.default_rng(12), 80, 6, n_unknown=20, n_continuous=2)
         blank = DistanceMatrix(cohort.ids, np.zeros((80, 80)), Metric.GOWER)
         expected = evaluate_grid(cohort, Metric.GOWER)
-        frontier = precision_yield_frontier(cohort, Metric.GOWER)
         with pytest.MonkeyPatch.context() as patch:
             for module in (fill.tune, fill.distance):
                 patch.setattr(module, "distance_matrix", refuse_matrix)
-            assert evaluate_grid(cohort, Metric.GOWER, distances=blank) == expected
             report = grid_search(
                 cohort, Metric.GOWER, criterion=CriterionB(0.0), distances=blank
             )
             assert report.grid == expected
-            assert precision_yield_frontier(cohort, Metric.GOWER, distances=blank) == frontier
-            for cell in expected[:: len(default_threshold_grid())]:
-                pair = Hyperparameters(cell.radius, cell.p_threshold, Metric.GOWER)
-                assert loo_evaluate(cohort, pair, blank) == cell.metrics
 
     def test_default_radius_grid_takes_a_metric(self, medium_cohort, medium_distances):
         with pytest.raises(TypeError, match="metric must be a Metric, not DistanceMatrix"):
@@ -501,13 +475,13 @@ class TestRowBlockCounts:
         [
             lambda c, dm: default_radius_grid(c, "manhattan"),
             lambda c, dm: evaluate_grid(c, "manhattan", (0.5, 1, 2), (0.05,)),
-            lambda c, dm: evaluate_grid(c, "jaccard", (0.5,), (0.05,), distances=dm),
             lambda c, dm: grid_search(c, "manhattan", (0.5, 1, 2), (0.05,)),
+            lambda c, dm: grid_search(c, "jaccard", (0.5,), (0.05,), distances=dm),
             lambda c, dm: precision_yield_frontier(c, "manhattan", (0.5, 1, 2), (0.05,)),
         ],
         ids=[
-            "default_radius_grid", "evaluate_grid", "evaluate_grid_with_matrix",
-            "grid_search", "precision_yield_frontier",
+            "default_radius_grid", "evaluate_grid", "grid_search",
+            "grid_search_with_matrix", "precision_yield_frontier",
         ],
     )
     def test_string_metric_rejected(self, medium_cohort, medium_distances, call):
@@ -516,12 +490,12 @@ class TestRowBlockCounts:
 
 
 class TestCodeCounts:
-    """evaluate_grid counts Jaccard and Manhattan from pair codes, with or
-    without a passed matrix."""
+    """evaluate_grid counts every metric of a cohort without continuous
+    features from pair codes."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        metric=st.sampled_from([Metric.JACCARD, Metric.MANHATTAN]),
+        metric=st.sampled_from(list(Metric)),
         data=st.data(),
     )
     @settings(deadline=None, max_examples=80)
@@ -548,6 +522,7 @@ class TestCodeCounts:
         expected = matrix_path_cells(cohort, metric, radii)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "distance_matrix", refuse_matrix)
+            patch.setattr(fill.tune, "_distance_source", refuse_matrix_path)
             assert evaluate_grid(cohort, metric, radii) == expected
 
     def test_equal_values_of_different_codes_merge(self):
@@ -565,21 +540,21 @@ class TestCodeCounts:
         dm = distance_matrix(medium_cohort, metric)
         expected = matrix_path_cells(medium_cohort, metric, None)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
-            frontier = precision_yield_frontier(medium_cohort, metric, distances=dm)
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
+            frontier = precision_yield_frontier(medium_cohort, metric)
         with pytest.MonkeyPatch.context() as patch:
             # distance blocks are the sorted-row path's only source
             patch.setattr(fill.tune, "distance_block", refuse_matrix_path)
-            assert evaluate_grid(medium_cohort, metric, distances=dm) == expected
+            assert evaluate_grid(medium_cohort, metric) == expected
             report = grid_search(
                 medium_cohort, metric, criterion=CriterionB(0.0), distances=dm
             )
             assert report.grid == expected
-            assert precision_yield_frontier(medium_cohort, metric, distances=dm) == frontier
+            assert precision_yield_frontier(medium_cohort, metric) == frontier
             # one threshold per radius: every radius of the grid
             for cell in expected[:: len(default_threshold_grid())]:
                 pair = Hyperparameters(cell.radius, cell.p_threshold, metric)
-                assert loo_evaluate(medium_cohort, pair, dm) == cell.metrics
+                assert loo_evaluate(medium_cohort, pair) == cell.metrics
 
     @given(
         pairs=st.lists(
@@ -610,7 +585,7 @@ class TestCodeCounts:
             evaluate_grid(cohort, metric)
         # the sorted-row path checks the schema before the grid, too
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fill.tune, "_codes_fit", lambda cohort, metric: False)
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
             with pytest.raises(IncompatibleMetric):
                 evaluate_grid(cohort, metric, (-1.0,))
 
@@ -618,11 +593,9 @@ class TestCodeCounts:
     def test_too_few_labeled_messages_unchanged(self, n_labeled):
         rows = [[1], [0], [1], [0], [1], [1]]
         cohort = make_cohort(rows, ["POS"] * n_labeled + ["UNKNOWN"] * (6 - n_labeled))
-        dm = distance_matrix(cohort, Metric.JACCARD)
         for radius_grid, message in [
             (None, "no labeled pairs to build a radius grid from"),
             ((0.5,), "leave-one-out needs at least 2 labeled records"),
         ]:
-            for distances in (None, dm):
-                with pytest.raises(TooFewLabeled, match=message):
-                    evaluate_grid(cohort, Metric.JACCARD, radius_grid, distances=distances)
+            with pytest.raises(TooFewLabeled, match=message):
+                evaluate_grid(cohort, Metric.JACCARD, radius_grid)
