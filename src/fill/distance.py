@@ -9,7 +9,9 @@ gets the same bits from every entry point and block shape.
 Without continuous features, every metric's distance depends only on a
 pair's mismatch and union counts (Gower's is then Jaccard's), so
 `pair_codes` can stand in for a block of distances: one integer code per
-pair, whose value `code_values` gives with `_block`'s arithmetic.
+pair, whose value `code_values` gives with `_block`'s arithmetic. The
+codes are float32 matmuls of `code_factors`, built once per cohort, and
+exact for up to MAX_CODE_FEATURES binary features.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,10 @@ from .errors import IncompatibleMetric, LengthMismatch, MatrixTooLarge
 
 # Rows per pass of every row-blocked kernel, here and in `tune`.
 ROW_BLOCK = 256
+
+# Most binary features whose pair codes float32 computes exactly:
+# 4F**2 + 7F < 2**24 (see `pair_codes`).
+MAX_CODE_FEATURES = 2047
 
 # Largest n x n float64 matrix `distance_matrix` allocates: 4 GiB, which
 # admits n up to 23 170 (the paper's 11 950 records need 1.14 GB).
@@ -215,18 +221,36 @@ def code_values(cohort: Cohort, metric: Metric) -> np.ndarray:
     return np.divide(mismatch, union, out=np.zeros_like(mismatch), where=union > 0)
 
 
-def pair_codes(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Code mismatch * (F + 1) + union of every (row, column) pair, as intp.
+def code_factors(rows: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 factors of the pair codes of every (row, column) pair.
 
-    rows and columns are 0/1 float64 blocks over the same F features. The
-    code is (|a| + |b|)(F + 2) - ones (2F + 3), with ones the shared-one
-    count of `_block`; it is taken as one matmul of each block widened by
-    two columns. Every product and partial sum is an integer far below
-    2**53, so BLAS gives the exact code in any summation order.
+    rows and columns are 0/1 blocks over the same F binary features, each
+    widened by two columns: left is len(rows) x (F + 2), right is
+    (F + 2) x len(columns), and `pair_codes(left[i], right[:, j])` is the
+    code of pair (i, j).
     """
     width = rows.shape[1] + 2
-    a = np.column_stack([rows, width * rows.sum(axis=1), np.ones(len(rows))])
-    b = np.column_stack(
-        [(1 - 2 * width) * columns, np.ones(len(columns)), width * columns.sum(axis=1)]
-    )
-    return (a @ b.T).astype(np.intp)
+    left = np.empty((len(rows), width), dtype=np.float32)
+    left[:, :-2] = rows
+    left[:, -2] = width * rows.sum(axis=1)
+    left[:, -1] = 1
+    right = np.empty((width, len(columns)), dtype=np.float32)
+    right[:-2] = columns.T
+    right[:-2] *= 1 - 2 * width
+    right[-2] = 1
+    right[-1] = width * columns.sum(axis=1)
+    return left, right
+
+
+def pair_codes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Code mismatch * (F + 1) + union of every (row, column) pair, as intp.
+
+    left and right are rows and columns of `code_factors`. The code is
+    (|a| + |b|)(F + 2) - ones (2F + 3), with ones the shared-one count of
+    `_block`. Every product and partial sum of the matmul is an integer of
+    magnitude at most F(2F + 3) + 2F(F + 2) = 4F**2 + 7F, below 2**24 for
+    F <= MAX_CODE_FEATURES, so float32 holds each one exactly and BLAS gives
+    the exact code in any summation order. intp is the index type numpy's
+    gathers and bincount take without converting a copy first.
+    """
+    return (left @ right).astype(np.intp)

@@ -12,7 +12,10 @@ import numpy as np
 
 from .classify import Hyperparameters, base_rate
 from .cohort import Cohort
-from .distance import ROW_BLOCK, DistanceMatrix, Metric, code_values, distance_block, pair_codes
+from .distance import (
+    MAX_CODE_FEATURES, ROW_BLOCK, DistanceMatrix, Metric, code_factors, code_values,
+    distance_block, pair_codes,
+)
 from .distance import _require_binary_schema
 from .errors import EmptyGrid, InvalidGrid, NoFeasibleCell, TooFewLabeled
 # binom_sf and distance_matrix are not called here; they stay importable as
@@ -41,24 +44,28 @@ class LooMetrics:
 
 @dataclass(frozen=True)
 class CriterionA:
-    """Maximize precision subject to at least min_tp true positives."""
+    """Maximize precision subject to at least min_tp true positives.
+    A numpy integer is stored as an int, so reports can write it."""
 
     min_tp: int = 10
 
     def __post_init__(self):
         if not isinstance(self.min_tp, (int, np.integer)) or self.min_tp < 0:
             raise ValueError(f"min_tp must be an integer >= 0, got {self.min_tp!r}")
+        object.__setattr__(self, "min_tp", int(self.min_tp))
 
 
 @dataclass(frozen=True)
 class CriterionB:
-    """Maximize true positives subject to precision >= min_precision."""
+    """Maximize true positives subject to precision >= min_precision.
+    A numpy float is stored as a float, so reports can write it."""
 
     min_precision: float = 0.85
 
     def __post_init__(self):
         if not 0.0 <= self.min_precision <= 1.0:
             raise ValueError(f"min_precision must be in [0, 1], got {self.min_precision!r}")
+        object.__setattr__(self, "min_precision", float(self.min_precision))
 
 
 @dataclass(frozen=True)
@@ -83,43 +90,58 @@ class FrontierPoint:
     winner: GridCell | None
 
 
-def _labeled_blocks(cohort, rows, block, own):
-    """(start, block(chunk)) per ROW_BLOCK chunk of rows, start its position in rows.
+def _labeled_blocks(cohort, rows, block, own, upper=False):
+    """(start, block(chunk, columns)) per ROW_BLOCK chunk of rows, start its
+    position in rows.
 
-    block(chunk) holds the chunk's values against every labeled record, one
-    column each; a record's own column is set to own, so no record is ever
-    inside its own ball.
+    block(chunk, columns) holds the chunk's values against the labeled
+    records at the positions columns (a slice), one column each. A record's
+    own column is set to own, so no record is ever inside its own ball. With
+    upper, rows are the labeled records, each chunk is taken against the
+    labeled from its own position on, and own fills the diagonal and below:
+    every labeled pair (i, j), i < j, is then in one block once.
     """
     labeled = np.flatnonzero(cohort.labeled_mask)
     column_of = np.full(len(cohort), -1)
     column_of[labeled] = np.arange(labeled.size)
     for start in range(0, rows.size, ROW_BLOCK):
         chunk = rows[start : start + ROW_BLOCK]
-        values = block(chunk)
-        mine = np.flatnonzero(column_of[chunk] >= 0)
-        values[mine, column_of[chunk[mine]]] = own
+        if upper:
+            values = block(chunk, slice(start, None))
+            values[:, : chunk.size][np.tri(chunk.size, dtype=bool)] = own
+        else:
+            values = block(chunk, slice(None))
+            mine = np.flatnonzero(column_of[chunk] >= 0)
+            values[mine, column_of[chunk[mine]]] = own
         yield start, values
 
 
 def _codes_fit(cohort) -> bool:
     """Whether the grid counts from pair codes, not from distance blocks: the
-    cohort has no continuous features, and its code tables, (F + 1)**2 entries
-    for F binary features, are no larger than the n x n_labeled pairs they count."""
+    cohort has no continuous features and at most MAX_CODE_FEATURES binary
+    ones, F, so float32 codes are exact, and its code tables, (F + 1)**2
+    entries, are no larger than the n x n_labeled pairs they count."""
+    n_features = cohort.binary.shape[1]
     pairs = len(cohort) * int(cohort.labeled_mask.sum())
-    return not cohort.schema.continuous_names and (cohort.binary.shape[1] + 1) ** 2 <= pairs
+    return (
+        not cohort.schema.continuous_names
+        and n_features <= MAX_CODE_FEATURES
+        and (n_features + 1) ** 2 <= pairs
+    )
 
 
 def _code_source(cohort):
-    """chunk -> `pair_codes` of the records at chunk against the labeled."""
-    binary = cohort.binary.astype(np.float64)
-    columns = binary[cohort.labeled_mask]
-    return lambda chunk: pair_codes(binary[chunk], columns)
+    """(chunk, columns) -> `pair_codes` of the records at chunk against the
+    labeled at columns, from factors built once."""
+    left, right = code_factors(cohort.binary, cohort.binary[cohort.labeled_mask])
+    return lambda chunk, columns: pair_codes(left[chunk], right[:, columns])
 
 
 def _distance_source(cohort, metric):
-    """chunk -> `distance_block` of the records at chunk against the labeled."""
+    """(chunk, columns) -> `distance_block` of the records at chunk against
+    the labeled at columns."""
     labeled = np.flatnonzero(cohort.labeled_mask)
-    return lambda chunk: distance_block(cohort, metric, chunk, labeled)[0]
+    return lambda chunk, columns: distance_block(cohort, metric, chunk, labeled[columns])[0]
 
 
 def _neighborhood_counts(cohort, metric, radii):
@@ -128,26 +150,33 @@ def _neighborhood_counts(cohort, metric, radii):
     radii must be sorted ascending. When the code tables fit, a pair code's
     bucket is the number of radii below its value, so the pair is inside
     the ball of every radius from that bucket on; a record's own column
-    takes the bucket past the last radius. Each block's buckets are counted
-    per row by one offset bincount, then summed up the radii. Otherwise each
-    row block's distances are sorted, labeled and POS columns apart, and one
-    searchsorted per row counts the closed ball at every radius; the own
-    column is NaN, which sorts last and is never <= a radius, even inf.
+    takes the bucket past the last radius. One bincount per block tallies
+    its buckets keyed on (row, whether the column is POS, bucket); K sums
+    the POS tally up the radii, and N is K plus the other tally's sums.
+    Otherwise each row block's distances are sorted, labeled and POS columns
+    apart, and one searchsorted per row counts the closed ball at every
+    radius; the own column is NaN, which sorts last and is never <= a
+    radius, even inf.
     """
-    pos = np.flatnonzero(cohort.pos_mask[cohort.labeled_mask])
+    is_pos = cohort.pos_mask[cohort.labeled_mask]
+    pos = np.flatnonzero(is_pos)
     rows = np.arange(len(cohort))
     n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
     k_arr = np.empty_like(n_arr)
     if _codes_fit(cohort):
         width = len(radii) + 1
-        bucket = np.searchsorted(radii, code_values(cohort, metric), "left")
+        bucket = np.searchsorted(radii, code_values(cohort, metric), "left").astype(np.int32)
         codes = _code_source(cohort)
-        for start, buckets in _labeled_blocks(cohort, rows, lambda c: bucket[codes(c)], width - 1):
+        key = np.add.outer(2 * width * np.arange(ROW_BLOCK), width * is_pos, dtype=np.int32)
+        blocks = _labeled_blocks(cohort, rows, lambda *at: bucket[codes(*at)], width - 1)
+        for start, buckets in blocks:
             block = slice(start, start + len(buckets))
-            buckets += width * np.arange(len(buckets))[:, None]
-            for out, columns in ((n_arr, buckets), (k_arr, buckets[:, pos])):
-                tally = np.bincount(columns.ravel(), minlength=len(buckets) * width)
-                np.cumsum(tally.reshape(-1, width)[:, :-1], axis=1, out=out[block])
+            buckets += key[: len(buckets)]
+            tally = np.bincount(buckets.ravel(), minlength=2 * width * len(buckets))
+            tally = tally.reshape(-1, 2, width)[:, :, :-1]
+            np.cumsum(tally[:, 1], axis=1, out=k_arr[block])
+            np.cumsum(tally[:, 0], axis=1, out=n_arr[block])
+            n_arr[block] += k_arr[block]
         return n_arr, k_arr
     for start, block in _labeled_blocks(cohort, rows, _distance_source(cohort, metric), np.nan):
         for out, columns in ((n_arr, block), (k_arr, block[:, pos])):
@@ -204,7 +233,8 @@ def _grid_metrics(cohort, metric, radii, thresholds) -> list[LooMetrics]:
         raise TooFewLabeled("leave-one-out needs at least 2 labeled records")
     thresholds = np.array(thresholds)
     n_arr, k_arr = _neighborhood_counts(cohort, metric, np.array(radii))
-    k_star = _decision_thresholds(np.unique(n_arr), base_rate(cohort), thresholds)
+    sizes = np.flatnonzero(np.bincount(n_arr.ravel()))
+    k_star = _decision_thresholds(sizes, base_rate(cohort), thresholds)
     totals = np.zeros((3, len(radii), thresholds.size), dtype=np.int64)
     for start in range(0, len(cohort), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
@@ -247,28 +277,31 @@ def _quantile_radii(values, counts) -> tuple[float, ...]:
 def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
     """41 evenly spaced quantiles (0%, 2.5%, ..., 100%) of labeled-pair distances.
 
-    The pairs are counted the way `_neighborhood_counts` counts: as a
-    histogram of labeled-pair codes when the code tables fit, else as the
-    upper triangle of distance blocks, whose quantiles are taken in place.
+    The pairs are counted the way `_neighborhood_counts` counts, each
+    labeled pair once from the upper triangle of blocks: as a histogram of
+    labeled-pair codes when the code tables fit, else as distances, whose
+    quantiles are taken in place.
     """
     _require_binary_schema(cohort, metric)
     labeled = np.flatnonzero(cohort.labeled_mask)
     if _codes_fit(cohort):
         values = code_values(cohort, metric)
         histogram = np.zeros(values.size + 1, dtype=np.int64)
-        for _, codes in _labeled_blocks(cohort, labeled, _code_source(cohort), values.size):
+        blocks = _labeled_blocks(cohort, labeled, _code_source(cohort), values.size, upper=True)
+        for _, codes in blocks:
             histogram += np.bincount(codes.ravel(), minlength=values.size + 1)
-        # drops the last bin, the records themselves; every pair came twice
+        # drops the last bin, the diagonal and below
         order = np.argsort(values)
-        counts = histogram[order] // 2
+        counts = histogram[order]
         if not counts.any():
             raise TooFewLabeled("no labeled pairs to build a radius grid from")
         return _quantile_radii(values[order], counts)
     pairs = np.empty(labeled.size * (labeled.size - 1) // 2)
     at = 0
-    for start, block in _labeled_blocks(cohort, labeled, _distance_source(cohort, metric), np.nan):
+    blocks = _labeled_blocks(cohort, labeled, _distance_source(cohort, metric), np.nan, upper=True)
+    for _, block in blocks:
         # the upper triangle in triu_indices order
-        upper = block[np.arange(labeled.size) > np.arange(start, start + len(block))[:, None]]
+        upper = block[~np.tri(*block.shape, dtype=bool)]
         pairs[at : at + upper.size] = upper
         at += upper.size
     if pairs.size == 0:
@@ -372,9 +405,10 @@ def precision_yield_frontier(
     cells = evaluate_grid(cohort, metric, radius_grid, threshold_grid)
     points = []
     for floor in list(thresholds) + [0.0]:
+        criterion = CriterionB(min_precision=floor)
         try:
-            winner = select_winner(cells, CriterionB(min_precision=floor))
+            winner = select_winner(cells, criterion)
         except NoFeasibleCell:
             winner = None
-        points.append(FrontierPoint(floor, winner))
+        points.append(FrontierPoint(criterion.min_precision, winner))
     return points

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fill.distance
-from fill.cohort import load_cohort, write_cohort
+from fill.cohort import Cohort, FeatureSchema, Label, load_cohort, write_cohort
 from fill.distance import (
     Metric,
     _block,
+    code_factors,
     code_values,
     distance_block,
     distance_matrix,
     gower,
     jaccard,
     manhattan,
+    pair_codes,
 )
 from fill.errors import IncompatibleMetric, LengthMismatch, MatrixTooLarge
+from fill.tune import _codes_fit
 
 from conftest import make_cohort, random_cohort, reversed_cohort
 from oracles import naive_gower, naive_jaccard, naive_manhattan
@@ -279,3 +282,43 @@ class TestMatrixLimit:
             distance_matrix(cohort, Metric.JACCARD)
         monkeypatch.setattr(fill.distance, "MATRIX_LIMIT_BYTES", 3 * 3 * 8)
         assert distance_matrix(cohort, Metric.JACCARD).values.shape == (3, 3)
+
+
+class TestPairCodes:
+    @given(
+        n_features=st.integers(1, 80),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # all-ones rows at the widest float32-exact schema: the largest magnitudes
+    @example(n_features=2047, shape=(9, 11), density=1.0, seed=0)
+    @example(n_features=2047, shape=(9, 11), density=0.5, seed=0)
+    @settings(deadline=None, max_examples=150)
+    def test_codes_equal_integer_brute_force(self, n_features, shape, density, seed):
+        rng = np.random.default_rng(seed)
+        rows, columns = (
+            (rng.random((n, n_features)) < density).astype(np.uint8) for n in shape
+        )
+        a = rows[:, None, :].astype(np.int64)
+        b = columns[None, :, :].astype(np.int64)
+        mismatch = (a != b).sum(axis=2)
+        union = (a | b).sum(axis=2)
+        codes = pair_codes(*code_factors(rows, columns))
+        assert codes.shape == shape
+        assert np.array_equal(codes, mismatch * (n_features + 1) + union)
+
+    def test_float32_bound_picks_the_count_path(self):
+        # (F + 1)**2 <= n * n_labeled for both widths: only the float32 rule differs
+        n = 2100
+        assert 4 * 2047**2 + 7 * 2047 < 2**24 < 4 * 2048**2 + 7 * 2048
+        for n_features, fits in [(2047, True), (2048, False)]:
+            assert (n_features + 1) ** 2 <= n * n
+            cohort = Cohort.make(
+                FeatureSchema(tuple(f"b{j}" for j in range(n_features)), ()),
+                [f"p{i}" for i in range(n)],
+                np.zeros((n, n_features), dtype=np.uint8),
+                np.zeros((n, 0)),
+                [Label.POS, Label.NEG] * (n // 2),
+            )
+            assert _codes_fit(cohort) is fits

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fill.errors import UnwritableName
@@ -14,7 +15,7 @@ from fill.report import (
     volcano_name,
     write_tree,
 )
-from fill.tune import CriterionB, FrontierPoint, GridCell, LooMetrics
+from fill.tune import CriterionA, CriterionB, FrontierPoint, GridCell, LooMetrics
 
 CELLS = (
     GridCell(0.25, 0.01, LooMetrics(3, 1, 0.75, 0.5)),
@@ -53,6 +54,20 @@ def test_grid_report_tree_with_and_without_winner():
     assert infeasible["winner"] is None
     assert infeasible["grid"] == feasible["grid"]
     assert feasible["grid"][1]["precision"] is None
+
+
+@pytest.mark.parametrize(
+    "criterion, expected",
+    [
+        (CriterionA(np.int64(0)), {"type": "a", "min_tp": 0}),
+        (CriterionB(np.float32(0.5)), {"type": "b", "min_precision": 0.5}),
+    ],
+)
+def test_numpy_scalar_criteria_are_written(criterion, expected, tmp_path):
+    for winner in (CELLS[0], None):
+        write_tree(grid_report_tree(criterion, CELLS, winner), tmp_path / "grid_report.json")
+        tree = json.loads((tmp_path / "grid_report.json").read_text(encoding="utf-8"))
+        assert tree["criterion"] == expected
 
 
 def test_frontier_tree_reads_the_winning_cell():

@@ -10,6 +10,7 @@ from fill.classify import Decision, FillModel, Hyperparameters, base_rate, class
 from fill.cohort import Label
 from fill.distance import ROW_BLOCK, DistanceMatrix, Metric, distance_matrix
 from fill.errors import EmptyGrid, IncompatibleMetric, InvalidGrid, NoFeasibleCell, TooFewLabeled
+from fill.report import dumps_tree, frontier_tree
 from fill.synth import default_spec, synth_cohort_with_truth
 from fill.stats import binom_tail
 from fill.tune import (
@@ -248,6 +249,13 @@ class TestFrontier:
         assert points[0].min_precision == 0.80
         assert points[0].winner is None
 
+    def test_numpy_floor_is_stored_as_float(self, medium_cohort):
+        points = precision_yield_frontier(
+            medium_cohort, Metric.JACCARD, (0.0,), (0.001,), thresholds=(np.float32(0.5),)
+        )
+        assert type(points[0].min_precision) is float and points[0].min_precision == 0.5
+        assert '"min_precision": 0.5,' in dumps_tree(frontier_tree(points))
+
     def test_feasible_floors_nest(self, medium_cohort):
         points = precision_yield_frontier(
             medium_cohort, Metric.JACCARD,
@@ -403,6 +411,26 @@ class TestWindowedTables:
         expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
         assert default_radius_grid(cohort, Metric.GOWER) == expected
         assert evaluate_grid(cohort, Metric.GOWER) == full_table_cells(cohort, Metric.GOWER)
+
+    @pytest.mark.parametrize("metric", [Metric.JACCARD, Metric.MANHATTAN])
+    def test_code_cells_and_radii_over_several_blocks(self, metric):
+        # the binary-only twin: 300 labeled records with UNKNOWN records
+        # between them, so the code radius grid's upper triangle spans two
+        # row blocks and the counts two labeled blocks
+        rng = np.random.default_rng(23)
+        cohort = random_cohort(rng, 400, 12, n_unknown=100)
+        labeled = np.flatnonzero(cohort.labeled_mask)
+        assert labeled.size == 300
+        assert not cohort.labeled_mask[labeled[0] : labeled[-1]].all()
+        assert fill.tune._codes_fit(cohort)
+        values = distance_matrix(cohort, metric).values[np.ix_(labeled, labeled)]
+        pairs = values[np.triu_indices(labeled.size, k=1)]
+        expected = tuple(sorted(set(np.quantile(pairs, np.linspace(0.0, 1.0, 41)).tolist())))
+        assert default_radius_grid(cohort, metric) == expected
+        cells = evaluate_grid(cohort, metric)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
+            assert evaluate_grid(cohort, metric) == cells
 
 
 class TestDistancesMatchCohort:
