@@ -1,9 +1,11 @@
 """Command-line entry points.
 
-Subcommands: tune, impute, explain, loo, baseline, synth. Options can come
-from a flat `key = value` config file (# comments allowed); command-line
-flags override the file. Every command is a pure function of its inputs,
-flags and seed, so reruns write byte-identical files.
+Subcommands: tune, impute, explain, loo, baseline, synth. Each option is
+declared once, in `build_parser`. Options can also come from a flat
+`key = value` config file (# comments allowed): its values are parsed like
+flags, and command-line flags override them. Every command is a pure
+function of its inputs and options (synth's --seed among them), so reruns
+write byte-identical files.
 
 Exit codes: 0 success, 1 usage or input error, 2 no feasible grid cell.
 """
@@ -11,8 +13,6 @@ Exit codes: 0 success, 1 usage or input error, 2 no feasible grid cell.
 import argparse
 import math
 import sys
-import typing
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import report
@@ -33,34 +33,15 @@ from .synth import default_spec, synth_cohort_with_truth, write_truth
 from .tune import CriterionA, CriterionB, LooMetrics, grid_search, loo_evaluate
 
 
-@dataclass
-class RunConfig:
-    input: str | None = None
-    schema: str = ""
-    metric: str = "gower"
-    criterion: str = "a"
-    min_precision: float = 0.85
-    min_tp: int = 10
-    radius: float | None = None
-    pvalue: float | None = None
-    seed: int = 0
-    out: str = "."
-    threads: int = 1
-    radius_grid: str | None = None
-    pvalue_grid: str | None = None
-    n_labeled: int = 200
-    n_unlabeled: int = 100
-    n_features: int = 30
-    n_phenotypes: int = 3
-    positive_fraction: float = 0.4
-    noise: float = 0.02
-
-
-_FIELDS = {f.name: f for f in fields(RunConfig)}
+def config_keys() -> set:
+    """A config file's keys: the option destinations of every subcommand."""
+    commands = build_parser().commands.values()
+    return {a.dest for p in commands for a in p._actions if a.option_strings} - {"help", "config"}
 
 
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines; unknown keys are rejected early."""
+    keys = config_keys()
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -74,39 +55,10 @@ def parse_config_file(path) -> dict:
             raise UsageError(f"config line {line_no}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FIELDS:
+        if key not in keys:
             raise UsageError(f"config line {line_no}: unknown key {key!r}")
         values[key] = value.strip()
     return values
-
-
-def _coerce(name: str, raw: str):
-    kind = _FIELDS[name].type
-    kinds = set(typing.get_args(kind)) or {kind}
-    try:
-        if int in kinds:
-            return int(raw)
-        if float in kinds:
-            return float(raw)
-        return raw
-    except ValueError:
-        raise UsageError(f"bad value for {name}: {raw!r}") from None
-
-
-def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            setattr(cfg, key, _coerce(key, raw))
-    for name in _FIELDS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, flag_value)
-    if not 0 <= cfg.seed < 2**64:
-        raise UsageError("seed must fit in 64 bits")
-    if cfg.threads < 1:
-        raise UsageError("threads must be >= 1")
-    return cfg
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -148,20 +100,20 @@ def parse_schema_spec(spec: str) -> dict:
     return roles
 
 
-def load_input(cfg: RunConfig) -> Cohort:
-    if not cfg.input:
+def load_input(args: argparse.Namespace) -> Cohort:
+    if not args.input:
         raise UsageError("an --input cohort file is required")
     try:
-        with open(cfg.input, "rb") as fh:
+        with open(args.input, "rb") as fh:
             first = fh.readline()
     except OSError as exc:
-        raise UsageError(f"cannot read {cfg.input}: {exc}") from None
+        raise UsageError(f"cannot read {args.input}: {exc}") from None
     # decode the header line alone: binary readline stops only at LF
     header = decode_text(first.splitlines()[0] if first else b"").split(",")
     if len(header) < 2:
         raise UsageError("input header must have at least id and label columns")
     feature_cols = header[2:]
-    roles = parse_schema_spec(cfg.schema)
+    roles = parse_schema_spec(args.schema)
     for role, names in roles.items():
         missing = names - set(feature_cols)
         if missing:
@@ -181,16 +133,16 @@ def load_input(cfg: RunConfig) -> Cohort:
         hint = ""
         if header[0].startswith("\ufeff"):
             hint = " (the file starts with a UTF-8 byte-order mark)"
-        raise UsageError(f"bad header in {cfg.input}: {exc}{hint}") from None
-    cohort = load_cohort(cfg.input, schema)
+        raise UsageError(f"bad header in {args.input}: {exc}{hint}") from None
+    cohort = load_cohort(args.input, schema)
     if roles["ignore"]:
         keep = [c for c in feature_cols if c not in roles["ignore"]]
         cohort = select_features(cohort, keep)
     return cohort
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -198,29 +150,29 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _metric(cfg: RunConfig) -> Metric:
+def _metric(args: argparse.Namespace) -> Metric:
     try:
-        return Metric.parse(cfg.metric)
+        return Metric.parse(args.metric)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _hyperparameters(cfg: RunConfig, metric: Metric) -> Hyperparameters:
-    if cfg.radius is None or cfg.pvalue is None:
+def _hyperparameters(args: argparse.Namespace, metric: Metric) -> Hyperparameters:
+    if args.radius is None or args.pvalue is None:
         raise UsageError("--radius and --pvalue are required for this command")
     try:
-        hp = Hyperparameters(radius=cfg.radius, p_threshold=cfg.pvalue, metric=metric)
+        hp = Hyperparameters(radius=args.radius, p_threshold=args.pvalue, metric=metric)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _require_finite("radius", hp.radius)
     return hp
 
 
-def _fixed_model_inputs(cfg: RunConfig) -> tuple[Cohort, Hyperparameters, Path]:
+def _fixed_model_inputs(args: argparse.Namespace) -> tuple[Cohort, Hyperparameters, Path]:
     """Shared start of the commands that run at a fixed S and T."""
-    cohort = load_input(cfg)
-    hp = _hyperparameters(cfg, _metric(cfg))
-    return cohort, hp, _out_dir(cfg)
+    cohort = load_input(args)
+    hp = _hyperparameters(args, _metric(args))
+    return cohort, hp, _out_dir(args)
 
 
 def _metrics_text(m: LooMetrics) -> str:
@@ -230,20 +182,20 @@ def _metrics_text(m: LooMetrics) -> str:
     )
 
 
-def cmd_tune(cfg: RunConfig) -> int:
-    cohort = load_input(cfg)
-    metric = _metric(cfg)
-    out = _out_dir(cfg)
-    radius_grid = parse_grid(cfg.radius_grid, "radius_grid")
-    threshold_grid = parse_grid(cfg.pvalue_grid, "pvalue_grid")
+def cmd_tune(args: argparse.Namespace) -> int:
+    cohort = load_input(args)
+    metric = _metric(args)
+    out = _out_dir(args)
+    radius_grid = parse_grid(args.radius_grid, "radius_grid")
+    threshold_grid = parse_grid(args.pvalue_grid, "pvalue_grid")
     try:
-        if cfg.criterion == "a":
-            criterion = CriterionA(min_tp=cfg.min_tp)
-        elif cfg.criterion == "b":
-            _require_finite("min_precision", cfg.min_precision)
-            criterion = CriterionB(min_precision=cfg.min_precision)
+        if args.criterion == "a":
+            criterion = CriterionA(min_tp=args.min_tp)
+        elif args.criterion == "b":
+            _require_finite("min_precision", args.min_precision)
+            criterion = CriterionB(min_precision=args.min_precision)
         else:
-            raise UsageError(f"criterion must be a or b, not {cfg.criterion!r}")
+            raise UsageError(f"criterion must be a or b, not {args.criterion!r}")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:
@@ -263,8 +215,8 @@ def cmd_tune(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_loo(cfg: RunConfig) -> int:
-    cohort, hp, out = _fixed_model_inputs(cfg)
+def cmd_loo(args: argparse.Namespace) -> int:
+    cohort, hp, out = _fixed_model_inputs(args)
     metrics = loo_evaluate(cohort, hp)
     report.write_tree(
         {
@@ -282,8 +234,8 @@ def cmd_loo(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_impute(cfg: RunConfig) -> int:
-    cohort, hp, out = _fixed_model_inputs(cfg)
+def cmd_impute(args: argparse.Namespace) -> int:
+    cohort, hp, out = _fixed_model_inputs(args)
     distances = distance_matrix(cohort, hp.metric)
     model = FillModel.fit(cohort, hp)
     results = impute_unknowns(cohort, model, distances)
@@ -307,14 +259,14 @@ def cmd_impute(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_explain(cfg: RunConfig, record_ids) -> int:
-    cohort, hp, out = _fixed_model_inputs(cfg)
+def cmd_explain(args: argparse.Namespace) -> int:
+    cohort, hp, out = _fixed_model_inputs(args)
     distances = distance_matrix(cohort, hp.metric)
     model = FillModel.fit(cohort, hp)
 
     unique_ids = []
     seen = set()
-    for rid in record_ids:
+    for rid in args.records:
         if rid in seen:
             print(f"warning: duplicate record id {rid!r} ignored", file=sys.stderr)
             continue
@@ -342,9 +294,9 @@ def cmd_explain(cfg: RunConfig, record_ids) -> int:
     return 0 if explanations else 1
 
 
-def cmd_baseline(cfg: RunConfig) -> int:
-    cohort = load_input(cfg)
-    out = _out_dir(cfg)
+def cmd_baseline(args: argparse.Namespace) -> int:
+    cohort = load_input(args)
+    out = _out_dir(args)
     accuracy, precision, c_stat, cutoffs = evaluate_two_cutoffs(cohort, fit_logistic(cohort))
     report.write_baseline_report(
         out / "baseline_report.txt", accuracy, precision, c_stat, cutoffs
@@ -356,46 +308,50 @@ def cmd_baseline(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_synth(args: argparse.Namespace) -> int:
     try:
         spec = default_spec(
-            n_labeled=cfg.n_labeled,
-            n_unlabeled=cfg.n_unlabeled,
-            n_binary_features=cfg.n_features,
-            n_phenotypes=cfg.n_phenotypes,
-            positive_fraction=cfg.positive_fraction,
-            noise_rate=cfg.noise,
-            seed=cfg.seed,
+            n_labeled=args.n_labeled,
+            n_unlabeled=args.n_unlabeled,
+            n_binary_features=args.n_features,
+            n_phenotypes=args.n_phenotypes,
+            positive_fraction=args.positive_fraction,
+            noise_rate=args.noise,
+            seed=args.seed,
         )
     except FillError as exc:
         raise UsageError(str(exc)) from None
+    out = _out_dir(args)
     cohort, truth = synth_cohort_with_truth(spec)
     write_cohort(cohort, out / "synthetic_cohort.csv")
     write_truth(cohort.ids, truth, out / "synthetic_truth.csv")
     print(
         f"wrote {len(cohort)} records "
-        f"({cfg.n_labeled} labeled, {cfg.n_unlabeled} unknown) to {out}"
+        f"({args.n_labeled} labeled, {args.n_unlabeled} unknown) to {out}"
     )
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on bad arguments; `commands` maps names to subparsers."""
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_io_flags(p):
+def _add_command(sub, name, run, summary):
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--input", help="cohort CSV file")
-    p.add_argument("--schema", help="column roles, e.g. continuous=age;ignore=x1")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
-    p.add_argument("--seed", type=int, help="64-bit unsigned seed")
+    p.add_argument("--schema", default="", help="column roles, e.g. continuous=age;ignore=x1")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; ignored")
+    return p
 
 
 def _add_model_flags(p):
-    p.add_argument("--metric", choices=["jaccard", "manhattan", "gower"])
+    p.add_argument("--metric", choices=["jaccard", "manhattan", "gower"], default="gower")
     p.add_argument("--radius", type=float, help="neighborhood radius S")
     p.add_argument("--pvalue", type=float, help="significance threshold T")
 
@@ -403,40 +359,36 @@ def _add_model_flags(p):
 def build_parser() -> _Parser:
     parser = _Parser(prog="fill", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("tune", help="grid-search radius and threshold via leave-one-out")
-    _add_io_flags(p)
+    p = _add_command(sub, "tune", cmd_tune, "grid-search radius and threshold via leave-one-out")
     _add_model_flags(p)
-    p.add_argument("--criterion", choices=["a", "b"])
-    p.add_argument("--min-precision", dest="min_precision", type=float)
-    p.add_argument("--min-tp", dest="min_tp", type=int)
-    p.add_argument("--radius-grid", dest="radius_grid")
-    p.add_argument("--pvalue-grid", dest="pvalue_grid")
+    p.add_argument("--criterion", choices=["a", "b"], default="a")
+    p.add_argument("--min-precision", type=float, default=0.85)
+    p.add_argument("--min-tp", type=int, default=10)
+    p.add_argument("--radius-grid")
+    p.add_argument("--pvalue-grid")
 
-    p = sub.add_parser("impute", help="classify unknown records at fixed S, T")
-    _add_io_flags(p)
+    p = _add_command(sub, "impute", cmd_impute, "classify unknown records at fixed S, T")
     _add_model_flags(p)
 
-    p = sub.add_parser("explain", help="neighborhood contrast for given records")
-    _add_io_flags(p)
+    p = _add_command(sub, "explain", cmd_explain, "neighborhood contrast for given records")
     _add_model_flags(p)
     p.add_argument("records", nargs="+", help="record ids to explain")
 
-    p = sub.add_parser("loo", help="leave-one-out metrics at fixed S, T")
-    _add_io_flags(p)
+    p = _add_command(sub, "loo", cmd_loo, "leave-one-out metrics at fixed S, T")
     _add_model_flags(p)
 
-    p = sub.add_parser("baseline", help="logistic-regression comparison")
-    _add_io_flags(p)
+    _add_command(sub, "baseline", cmd_baseline, "logistic-regression comparison")
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic cohort")
-    _add_io_flags(p)
-    p.add_argument("--n-labeled", dest="n_labeled", type=int)
-    p.add_argument("--n-unlabeled", dest="n_unlabeled", type=int)
-    p.add_argument("--n-features", dest="n_features", type=int)
-    p.add_argument("--n-phenotypes", dest="n_phenotypes", type=int)
-    p.add_argument("--pos-fraction", dest="positive_fraction", type=float)
-    p.add_argument("--noise", dest="noise", type=float)
+    p = _add_command(sub, "synth", cmd_synth, "generate a seeded synthetic cohort")
+    p.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
+    p.add_argument("--n-labeled", type=int, default=200)
+    p.add_argument("--n-unlabeled", type=int, default=100)
+    p.add_argument("--n-features", type=int, default=30)
+    p.add_argument("--n-phenotypes", type=int, default=3)
+    p.add_argument("--pos-fraction", dest="positive_fraction", type=float, default=0.4)
+    p.add_argument("--noise", type=float, default=0.02)
     return parser
 
 
@@ -444,16 +396,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = build_config(args)
-        run = {
-            "tune": cmd_tune,
-            "impute": cmd_impute,
-            "explain": lambda c: cmd_explain(c, args.records),
-            "loo": cmd_loo,
-            "baseline": cmd_baseline,
-            "synth": cmd_synth,
-        }[args.command]
-        return run(cfg)
+        if args.config:
+            # the file's values become the command's string defaults, which
+            # argparse types like flags; a flag given on the line wins
+            values = parse_config_file(args.config)
+            command = parser.commands[args.command]
+            command.set_defaults(**{k: v for k, v in values.items() if k in vars(args)})
+            args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UsageError("threads must be >= 1")
+        return args.run(args)
     except FillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ precision floor. Ties are broken by a fixed total order so repeated runs
 pick the same winner.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,27 +46,31 @@ class LooMetrics:
 @dataclass(frozen=True)
 class CriterionA:
     """Maximize precision subject to at least min_tp true positives.
-    A numpy integer is stored as an int, so reports can write it."""
+    A numpy integer is stored as an int, so reports can write it; a bool
+    is not an integer here."""
 
     min_tp: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.min_tp, (int, np.integer)) or self.min_tp < 0:
-            raise ValueError(f"min_tp must be an integer >= 0, got {self.min_tp!r}")
-        object.__setattr__(self, "min_tp", int(self.min_tp))
+        tp = self.min_tp
+        if isinstance(tp, bool) or not isinstance(tp, (int, np.integer)) or tp < 0:
+            raise ValueError(f"min_tp must be an integer >= 0, got {tp!r}")
+        object.__setattr__(self, "min_tp", int(tp))
 
 
 @dataclass(frozen=True)
 class CriterionB:
     """Maximize true positives subject to precision >= min_precision.
-    A numpy float is stored as a float, so reports can write it."""
+    A numpy float is stored as a float, so reports can write it; a bool
+    or a non-number is rejected like an out-of-range floor."""
 
     min_precision: float = 0.85
 
     def __post_init__(self):
-        if not 0.0 <= self.min_precision <= 1.0:
-            raise ValueError(f"min_precision must be in [0, 1], got {self.min_precision!r}")
-        object.__setattr__(self, "min_precision", float(self.min_precision))
+        floor = self.min_precision
+        if isinstance(floor, bool) or not isinstance(floor, numbers.Real) or not 0 <= floor <= 1:
+            raise ValueError(f"min_precision must be in [0, 1], got {floor!r}")
+        object.__setattr__(self, "min_precision", float(floor))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 import fill.cli
 import fill.distance
 import fill.tune
-from fill.cli import main, parse_config_file, parse_schema_spec, build_config
+from fill.cli import build_parser, config_keys, main, parse_config_file, parse_schema_spec
 
 from conftest import make_cohort
 from fill.cohort import write_cohort
@@ -58,18 +58,91 @@ class TestConfigFile:
         code = run(["tune", "--config", str(cfg_file)])
         assert code == 1
 
-    def test_flags_override_file(self, tmp_path):
+    CONFIG = "metric = jaccard\nradius = 0.6\npvalue = 0.05\n"
+
+    def run_with_config(self, synth_dir, tmp_path, config, *flags, command="loo"):
+        """Run one command with `config` as its file; return (metric, S, T) from its report."""
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("threads = 4\nseed = 3\n", encoding="utf-8")
+        cfg_file.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([command, "--config", str(cfg_file), "--out", str(out),
+                    "--input", str(synth_dir / "synthetic_cohort.csv"), *flags])
+        assert code == 0
+        name = {"loo": "loo_report.json", "impute": "impute_summary.json"}[command]
+        report = json.loads((out / name).read_text(encoding="utf-8"))
+        return report["metric"], report["radius"], report["p_threshold"]
 
-        class Args:
-            config = str(cfg_file)
-            threads = 8
-            seed = None
+    def test_value_used_without_a_flag(self, synth_dir, tmp_path):
+        used = self.run_with_config(synth_dir, tmp_path, self.CONFIG)
+        assert used == ("jaccard", 0.6, 0.05)
 
-        cfg = build_config(Args())
-        assert cfg.threads == 8
-        assert cfg.seed == 3
+    def test_flag_overrides_value(self, synth_dir, tmp_path):
+        flags = ["--radius", "0.7", "--metric", "manhattan"]
+        used = self.run_with_config(synth_dir, tmp_path, self.CONFIG, *flags)
+        assert used == ("manhattan", 0.7, 0.05)
+
+    def test_another_commands_key_accepted(self, synth_dir, tmp_path):
+        config = self.CONFIG + "min_tp = 3\nseed = -1\nn_labeled = many\n"
+        used = self.run_with_config(synth_dir, tmp_path, config, command="impute")
+        assert used == ("jaccard", 0.6, 0.05)
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("loo", "radius = wide", "argument --radius: invalid float value: 'wide'"),
+            ("tune", "min_tp = 2.5", "argument --min-tp: invalid int value: '2.5'"),
+            ("synth", "seed = x", "argument --seed: invalid int value: 'x'"),
+        ],
+    )
+    def test_value_failing_its_type(self, synth_dir, tmp_path, capsys, command, line, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"pvalue = 0.05\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([command, "--config", str(cfg_file), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unknown_key_names_its_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# header\nradius = 0.5\nradious = 0.6\n", encoding="utf-8")
+        assert run(["loo", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: config line 3: unknown key 'radious'\n"
+
+    def test_keys_are_every_commands_option_destinations(self, tmp_path):
+        parser = build_parser()
+        dests = set()
+        for command in parser.commands:
+            argv = [command, "r0001"] if command == "explain" else [command]
+            dests |= set(vars(parser.parse_args(argv)))
+        dests -= {"command", "run", "records", "config"}
+        assert config_keys() == dests == {
+            "input", "schema", "out", "threads", "metric", "radius", "pvalue",
+            "criterion", "min_precision", "min_tp", "radius_grid", "pvalue_grid", "seed",
+            "n_labeled", "n_unlabeled", "n_features", "n_phenotypes", "positive_fraction",
+            "noise",
+        }
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{key} = 1\n" for key in sorted(dests)), encoding="utf-8")
+        assert set(parse_config_file(cfg_file)) == dests
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_synth_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        out = tmp_path / "s"
+        code = run(["synth", f"--seed={seed}", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: seed must fit in 64 bits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "impute", "explain", "loo", "baseline"])
+    def test_only_synth_takes_a_seed(self, capsys, command):
+        argv = [command, "--seed=1"] + (["r0001"] if command == "explain" else [])
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed=1\n"
 
 
 class TestSchemaSpec:

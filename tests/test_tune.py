@@ -104,7 +104,7 @@ class TestCriteria:
     def test_min_tp_accepted(self, min_tp):
         assert CriterionA(min_tp).min_tp == min_tp
 
-    @pytest.mark.parametrize("min_tp", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("min_tp", [-1, 1.5, "3", None, True, False, np.bool_(True)])
     def test_min_tp_rejected(self, min_tp):
         with pytest.raises(ValueError, match="min_tp must be an integer >= 0"):
             CriterionA(min_tp)
@@ -113,7 +113,9 @@ class TestCriteria:
     def test_min_precision_accepted(self, floor):
         assert CriterionB(floor).min_precision == floor
 
-    @pytest.mark.parametrize("floor", [-0.01, 1.01, 2.0, float("nan")])
+    @pytest.mark.parametrize(
+        "floor", [-0.01, 1.01, 2.0, float("nan"), "0.5", None, True, False, np.bool_(True)]
+    )
     def test_min_precision_rejected(self, floor):
         with pytest.raises(ValueError, match=r"min_precision must be in \[0, 1\]"):
             CriterionB(floor)
