@@ -150,13 +150,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _metric(args: argparse.Namespace) -> Metric:
-    try:
-        return Metric.parse(args.metric)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _hyperparameters(args: argparse.Namespace, metric: Metric) -> Hyperparameters:
     if args.radius is None or args.pvalue is None:
         raise UsageError("--radius and --pvalue are required for this command")
@@ -171,7 +164,7 @@ def _hyperparameters(args: argparse.Namespace, metric: Metric) -> Hyperparameter
 def _fixed_model_inputs(args: argparse.Namespace) -> tuple[Cohort, Hyperparameters, Path]:
     """Shared start of the commands that run at a fixed S and T."""
     cohort = load_input(args)
-    hp = _hyperparameters(args, _metric(args))
+    hp = _hyperparameters(args, Metric(args.metric))
     return cohort, hp, _out_dir(args)
 
 
@@ -184,18 +177,16 @@ def _metrics_text(m: LooMetrics) -> str:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     cohort = load_input(args)
-    metric = _metric(args)
+    metric = Metric(args.metric)
     out = _out_dir(args)
     radius_grid = parse_grid(args.radius_grid, "radius_grid")
     threshold_grid = parse_grid(args.pvalue_grid, "pvalue_grid")
     try:
         if args.criterion == "a":
             criterion = CriterionA(min_tp=args.min_tp)
-        elif args.criterion == "b":
+        else:
             _require_finite("min_precision", args.min_precision)
             criterion = CriterionB(min_precision=args.min_precision)
-        else:
-            raise UsageError(f"criterion must be a or b, not {args.criterion!r}")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:
@@ -398,11 +389,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # the file's values become the command's string defaults, which
-            # argparse types like flags; a flag given on the line wins
+            # argparse types like flags; a flag given on the line wins.
+            # argparse never checks a default against its choices, so each
+            # value the file still sets is checked here, with the flag's message
             values = parse_config_file(args.config)
             command = parser.commands[args.command]
             command.set_defaults(**{k: v for k, v in values.items() if k in vars(args)})
             args = parser.parse_args(argv)
+            for action in command._actions:
+                if action.dest in values:
+                    try:
+                        command._check_value(action, getattr(args, action.dest))
+                    except argparse.ArgumentError as exc:
+                        command.error(str(exc))
         if args.threads < 1:
             raise UsageError("threads must be >= 1")
         return args.run(args)

@@ -144,6 +144,16 @@ class Cohort:
         return {rid: i for i, rid in enumerate(self.ids)}
 
     @cached_property
+    def binary_float(self) -> np.ndarray:
+        """`binary` as float32, read-only. A matrix product with 0/1 masks
+        counts exactly below 2**24 records, since every partial sum is then
+        an integer that float32 holds; a cohort that large would need a
+        2**48-entry distance matrix to be explained."""
+        values = self.binary.astype(np.float32)
+        values.setflags(write=False)
+        return values
+
+    @cached_property
     def labeled_mask(self) -> np.ndarray:
         return np.array([lab is not Label.UNKNOWN for lab in self.labels], dtype=bool)
 

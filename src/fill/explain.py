@@ -21,7 +21,7 @@ from .errors import (
     InsufficientSample,
     ZeroVarianceBoth,
 )
-from .stats import bh_fdr, fisher_exact, odds_ratio, welch_t
+from .stats import bh_fdr, fisher_exact, odds_ratio, sample_mean, welch_t
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -53,17 +53,19 @@ def compare_groups(cohort: Cohort, neighbor_mask, complement_mask):
 
     Binary features build the 2x2 table rows = present/absent, columns =
     neighbor/other, so an odds ratio above 1 means enrichment among
-    neighbors. All binary tables are counted in one pass and tested with
-    one fisher_exact stack. Degenerate tables (a feature present or absent
-    everywhere) keep the Haldane-corrected odds ratio with p = 1: a single
-    attainable table carries no association evidence. Continuous features
+    neighbors. All binary tables are counted by one product of the two
+    group masks with the binary block, and tested with one fisher_exact
+    stack. Degenerate tables (a feature present or absent everywhere) keep
+    the Haldane-corrected odds ratio with p = 1: a single attainable table
+    carries no association evidence. Continuous features
     where the t-test is undefined (a singleton group, or two flat samples)
     likewise report p = 1 with the plain mean difference.
     """
     n_count = int(neighbor_mask.sum())
     c_count = int(complement_mask.sum())
-    a = np.count_nonzero(cohort.binary[neighbor_mask], axis=0)
-    b = np.count_nonzero(cohort.binary[complement_mask], axis=0)
+    binary = cohort.binary_float
+    groups = np.stack([neighbor_mask, complement_mask]).astype(binary.dtype)
+    a, b = (groups @ binary).astype(np.int64)
     c = n_count - a
     d = c_count - b
     odds = odds_ratio(a, b, c, d)
@@ -78,7 +80,7 @@ def compare_groups(cohort: Cohort, neighbor_mask, complement_mask):
         col = cohort.continuous[:, j]
         xs = col[neighbor_mask]
         ys = col[complement_mask]
-        diff = float(xs.mean()) - float(ys.mean())
+        diff = sample_mean(xs) - sample_mean(ys)
         try:
             raw_p = welch_t(xs, ys).p_value
         except (InsufficientSample, ZeroVarianceBoth):

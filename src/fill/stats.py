@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DegenerateTable,
@@ -59,6 +59,38 @@ def _log_factorials(n: int) -> np.ndarray:
         if n + 1 >= _logfact.size:
             _logfact = _lgamma_table(2 * (n + 1))
         return _logfact
+
+
+# (table, rising, falling, top) for the current _logfact; see _log_factorial_runs
+_runs = (None, None, None, 0)
+
+
+def _log_factorial_runs(n: int):
+    """(rising, falling, top) with rising[m] == falling[top - m] == log(m!) for 0 <= m <= n.
+
+    Each table is followed by as many zeros as it has entries, so a run of
+    log(m!) that rises or falls by one per step from any m <= n, for at
+    most n + 1 steps, is one window of rising or falling; steps past the
+    table (m > top, or m < 0) read zeros. Both are built once per grown
+    _log_factorials table and read-only.
+    """
+    global _runs
+    lf = _log_factorials(n + 1)
+    runs = _runs
+    if runs[0] is not lf:
+        f = lf[1:]
+        zeros = np.zeros(f.size)
+        rising, falling = np.concatenate([f, zeros]), np.concatenate([f[::-1], zeros])
+        rising.setflags(write=False)
+        falling.setflags(write=False)
+        runs = _runs = (lf, rising, falling, f.size - 1)
+    return runs[1:]
+
+
+def _windows(run, width):
+    """Every window of `width` consecutive entries of a 1-D array, as a
+    read-only (run.size - width + 1, width) view."""
+    return as_strided(run, (run.size - width + 1, width), run.strides * 2, writeable=False)
 
 
 @dataclass(frozen=True)
@@ -227,10 +259,10 @@ def _window_tails(n, lo, hi, p):
     # the rows of lf[1 + j] and lf[n + 1 - j] are runs of the table, so
     # they are taken as windows; a column past hi, which no sum reads, may
     # fall in the zero padding
-    lf = _log_factorials(int((lo + width).max()) + 1)
-    log_j = sliding_window_view(lf, width)[1 + lo[:, 0]]
-    backward = np.concatenate([lf[::-1], np.zeros(width)])
-    log_rest = sliding_window_view(backward, width)[lf.size - 2 - (n - lo)[:, 0]]
+    lf = _log_factorials(int(n.max()) + 1)
+    rising, falling, top = _log_factorial_runs(int(n.max()))
+    log_j = _windows(rising, width)[lo[:, 0]]
+    log_rest = _windows(falling, width)[top - (n - lo)[:, 0]]
     log_terms = _log_terms(lf, n, j, p, log_j, log_rest)
     window = np.empty(j.shape)
     shift = _sum_tails(window, log_terms, valid)
@@ -261,14 +293,26 @@ def binom_sf(k: int, n: int, p: float) -> float:
     return float(_shared_tail(n, float(p))[k])
 
 
-def _log_hypergeom(x, c1, c2, r1, lf):
-    # lf[1:][m] == lf[m + 1] == log(m!): the view folds the index offset
-    f = lf[1:]
-    return (
-        f[c1] - f[x] - f[c1 - x]
-        + f[c2] - f[r1 - x] - f[c2 - r1 + x]
-        - (f[c1 + c2] - f[r1] - f[c1 + c2 - r1])
-    )
+def _log_hypergeom(r1, c1, c2, width):
+    """log P(X = x | margins) for x = 0, ..., width - 1: one row per table.
+
+    With f = log m!, the log probability is
+    f[c1] - f[x] - f[c1 - x] + f[c2] - f[r1 - x] - f[c2 - r1 + x]
+    - (f[c1 + c2] - f[r1] - f[c1 + c2 - r1]), summed left to right. Each
+    term that moves with x reads a run of f, taken as a window of
+    _log_factorial_runs; a step past a table's support may read the zero
+    padding, and no sum reads it.
+    """
+    rising, falling, top = _log_factorial_runs(int((c1 + c2).max(initial=0)))
+    down = _windows(falling, width)
+    out = rising[c1][:, None] - rising[:width]
+    out -= down[top - c1]
+    out += rising[c2][:, None]
+    out -= down[top - r1]
+    out -= _windows(rising, width)[c2 - r1]
+    total = c1 + c2
+    out -= ((rising[total] - rising[r1]) - rising[total - r1])[:, None]
+    return out
 
 
 def odds_ratio(a, b, c, d):
@@ -324,25 +368,40 @@ def fisher_exact(table) -> TestResult:
     a, b, c, d = oriented.T
     odds = odds_ratio(a, b, c, d)
 
-    # each table's support lo..hi, padded to the widest one; padded cells
-    # are clamped to hi for a safe index and left out of the sum
-    r1, c1, c2 = margins[:, 0:1], margins[:, 1:2], margins[:, 2:3]
-    lo = np.maximum(0, r1 - c2)
-    span = np.minimum(r1, c1) - lo
-    steps = np.arange(int(span.max(initial=0)) + 1)
-    lf = _log_factorials(int((c1 + c2).max(initial=0)) + 1)
-    log_probs = _log_hypergeom(lo + np.minimum(steps, span), c1, c2, r1, lf)
-    log_obs = log_probs[np.arange(a.size), a - lo[:, 0]][:, None]
-    include = (steps <= span) & (log_probs <= log_obs + _LOG1P_TOL)
-    peak = log_probs.max(axis=1, keepdims=True, initial=-np.inf, where=include)
-    # left-out cells add exact zeros to a left-to-right running sum, so a
-    # table's p-value does not depend on its stack or on the stack's width
-    terms = np.exp(log_probs - peak, out=np.zeros_like(log_probs), where=include)
-    total = np.cumsum(terms, axis=1)[:, -1:]
-    p = np.minimum(1.0, np.exp(peak + np.log(total)))[:, 0]
+    # the orientation leaves a <= d, so each table's support is
+    # 0..min(r1, c1), padded to the widest one; padded cells are left out
+    r1, c1, c2 = margins[:, :3].T
+    span = np.minimum(r1, c1)
+    width = int(span.max(initial=0)) + 1
+    log_probs = _log_hypergeom(r1, c1, c2, width)
+    log_obs = log_probs[np.arange(a.size), a][:, None]
+    include = (np.arange(width) <= span[:, None]) & (log_probs <= log_obs + _LOG1P_TOL)
+    kept = np.where(include, log_probs, -np.inf)
+    peak = kept.max(axis=1, keepdims=True)
+    # left-out cells are exp(-inf), exact zeros in a left-to-right running
+    # sum, so a table's p-value does not depend on its stack or on the
+    # stack's width
+    terms = np.exp(np.subtract(kept, peak, out=kept), out=kept)
+    total = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    p = np.minimum(1.0, np.exp(peak[:, 0] + np.log(total)))
     if single:
         return TestResult(statistic=float(odds[0]), p_value=float(p[0]))
     return TestResult(statistic=odds, p_value=p)
+
+
+def sample_mean(x) -> float:
+    """x.mean() of a 1-D float64 array, as a float: the same pairwise sum
+    (np.add.reduce) and division, without mean()'s dispatch."""
+    return float(np.add.reduce(x) / x.size)
+
+
+def _sample_moments(x):
+    """(mean, var(ddof=1)) of a 1-D float64 array of at least 2 values, as
+    floats; the variance sums the squared deviations as x.var does, so
+    both have the same bits as numpy's."""
+    mean = sample_mean(x)
+    deviations = x - mean
+    return mean, float(np.add.reduce(deviations * deviations) / (x.size - 1))
 
 
 def welch_t(xs, ys) -> TestResult:
@@ -357,8 +416,8 @@ def welch_t(xs, ys) -> TestResult:
         raise InsufficientSample("both samples need at least 2 values")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise InvalidArguments("samples must be finite")
-    vx = float(xs.var(ddof=1))
-    vy = float(ys.var(ddof=1))
+    mx, vx = _sample_moments(xs)
+    my, vy = _sample_moments(ys)
     nx, ny = xs.size, ys.size
     a = vx / nx
     b = vy / ny
@@ -366,7 +425,7 @@ def welch_t(xs, ys) -> TestResult:
         # covers both exact zero variances and a standard error that
         # underflows to zero, where the statistic is equally undefined
         raise ZeroVarianceBoth("t statistic undefined when both variances vanish")
-    t = (float(xs.mean()) - float(ys.mean())) / math.sqrt(a + b)
+    t = (mx - my) / math.sqrt(a + b)
     # Welch-Satterthwaite in ratio form, immune to under/overflow of a**2;
     # both ratios computed the same way keeps swapped samples bit-symmetric
     ra = a / (a + b)

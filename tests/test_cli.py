@@ -81,6 +81,12 @@ class TestConfigFile:
         used = self.run_with_config(synth_dir, tmp_path, self.CONFIG, *flags)
         assert used == ("manhattan", 0.7, 0.05)
 
+    def test_flag_overrides_value_outside_its_choices(self, synth_dir, tmp_path):
+        # only the value in use is checked against the choices
+        config = self.CONFIG.replace("jaccard", "Jaccard")
+        used = self.run_with_config(synth_dir, tmp_path, config, "--metric", "jaccard")
+        assert used == ("jaccard", 0.6, 0.05)
+
     def test_another_commands_key_accepted(self, synth_dir, tmp_path):
         config = self.CONFIG + "min_tp = 3\nseed = -1\nn_labeled = many\n"
         used = self.run_with_config(synth_dir, tmp_path, config, command="impute")
@@ -103,6 +109,27 @@ class TestConfigFile:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, choices",
+        [
+            ("tune", "criterion", "c", "'a', 'b'"),
+            ("impute", "metric", "nope", "'jaccard', 'manhattan', 'gower'"),
+        ],
+    )
+    def test_value_outside_its_choices(self, synth_dir, tmp_path, capsys, command, key, value, choices):
+        # the flag's message, given before the cohort is read or --out is made
+        message = f"error: argument --{key}: invalid choice: '{value}' (choose from {choices})\n"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"radius = 0.6\npvalue = 0.05\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg_file), "--out", str(out),
+                     "--input", str(synth_dir / "synthetic_cohort.csv")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", message)
+        assert not out.exists()
+        assert main([command, f"--{key}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_unknown_key_names_its_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -5,7 +5,13 @@ import scipy.stats
 from fill.classify import FillModel, Hyperparameters
 from fill.cohort import Cohort, FeatureSchema, Label, prevalence_filter
 from fill.distance import Metric, distance_matrix
-from fill.errors import EmptyComplement, EmptyNeighborhood, ModelCohortMismatch
+from fill.errors import (
+    EmptyComplement,
+    EmptyNeighborhood,
+    InsufficientSample,
+    ModelCohortMismatch,
+    ZeroVarianceBoth,
+)
 from fill.explain import (
     FeatureComparison,
     FeatureKind,
@@ -15,7 +21,7 @@ from fill.explain import (
     top_features,
     NeighborhoodExplanation,
 )
-from fill.stats import fisher_exact
+from fill.stats import bh_fdr, fisher_exact, welch_t
 from fill.synth import default_spec, synth_cohort_with_truth
 
 from conftest import make_cohort, random_cohort, reversed_cohort
@@ -99,6 +105,70 @@ class TestCompareGroups:
         assert cont[1] is FeatureKind.CONTINUOUS
         assert cont[2] == pytest.approx(1.0 - 3.0)
         assert cont[3] == 1.0
+
+
+def brute_force_groups(cohort, neighbor, complement):
+    """compare_groups' rows from boolean-indexed counts, one 2x2 fisher_exact
+    per table and one welch_t per continuous feature."""
+    n_count, c_count = int(neighbor.sum()), int(complement.sum())
+    rows = []
+    for j, name in enumerate(cohort.schema.binary_names):
+        col = cohort.binary[:, j]
+        a, b = int(np.count_nonzero(col[neighbor])), int(np.count_nonzero(col[complement]))
+        c, d = n_count - a, c_count - b
+        if min(a, b, c, d) == 0:
+            effect = ((a + 0.5) * (d + 0.5)) / ((b + 0.5) * (c + 0.5))
+        else:
+            effect = (a * d) / (b * c)
+        p = 1.0 if a + b == 0 or c + d == 0 else fisher_exact([[a, b], [c, d]]).p_value
+        rows.append((name, FeatureKind.BINARY, effect, p))
+    for j, name in enumerate(cohort.schema.continuous_names):
+        xs, ys = cohort.continuous[neighbor, j], cohort.continuous[complement, j]
+        try:
+            p = welch_t(xs, ys).p_value
+        except (InsufficientSample, ZeroVarianceBoth):
+            p = 1.0
+        rows.append((name, FeatureKind.CONTINUOUS, float(np.mean(xs)) - float(np.mean(ys)), p))
+    return rows
+
+
+class TestCompareGroupsBruteForce:
+    """compare_groups equals the one-feature-at-a-time reference bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def gower_cohort(self):
+        # 90 records, 8 binary features (b7 present in every record) and 2
+        # continuous ones; records 0 and 1 are labeled, 2 is UNKNOWN
+        rng = np.random.default_rng(26)
+        binary = rng.integers(0, 2, size=(90, 8))
+        binary[:, 7] = 1
+        labels = ["POS", "NEG", "UNKNOWN"] + rng.choice(["POS", "NEG", "UNKNOWN"], 87).tolist()
+        return make_cohort(binary.tolist(), labels, rng.normal(50, 15, size=(90, 2)), ("c0", "c1"))
+
+    @pytest.mark.parametrize("idx", [0, 1, 2], ids=["POS", "NEG", "UNKNOWN"])
+    def test_query_records(self, gower_cohort, idx):
+        cohort = gower_cohort
+        dm = distance_matrix(cohort, Metric.GOWER)
+        model = FillModel.fit(cohort, hp(0.35, 0.05, Metric.GOWER))
+        expl = explain_record(cohort.ids[idx], cohort, model, dm)
+        labeled = cohort.labeled_mask.copy()
+        labeled[idx] = False
+        neighbor = labeled & (dm.values[idx] <= 0.35)
+        complement = labeled & ~neighbor
+        expected = brute_force_groups(cohort, neighbor, complement)
+        assert compare_groups(cohort, neighbor, complement) == expected
+        assert 1 < expl.neighbor_count == neighbor.sum() < complement.sum()
+        assert [(c.feature, c.kind, c.effect, c.raw_p) for c in expl.comparisons] == expected
+        assert [c.adjusted_p for c in expl.comparisons] == bh_fdr([row[3] for row in expected])
+        assert expected[7][3] == 1.0  # b7: every record has it
+
+    def test_singleton_neighborhood(self, gower_cohort):
+        cohort = gower_cohort
+        neighbor, complement = masks(len(cohort), [5])
+        complement &= cohort.labeled_mask
+        results = compare_groups(cohort, neighbor, complement)
+        assert results == brute_force_groups(cohort, neighbor, complement)
+        assert [row[3] for row in results[-2:]] == [1.0, 1.0]  # the Welch fallback
 
 
 @pytest.fixture(scope="module")

@@ -144,6 +144,9 @@ class TestLogFactorials:
                 table = stats._log_factorials(n)
                 if table.size <= n:
                     failures.append((n, table.size))
+                rising, falling, top = stats._log_factorial_runs(n)
+                if not (n <= top and rising[n] == falling[top - n] == table[n + 1]):
+                    failures.append(("runs", n, top))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -269,7 +272,80 @@ class TestFisherStack:
             fisher_exact(table)
 
 
+def one_table_fisher(a, b, c, d, add=lambda terms: np.cumsum(terms)[-1:]):
+    """(odds, p) of one 2x2 table alone, summed as fisher_exact's stack must:
+    the same orientation, log-factorial table and tie slack, then the terms
+    of its own support, 0 where left out, added left to right (np.cumsum)."""
+    if d < a or (d == a and c < b):
+        a, b, c, d = d, c, b, a
+    r1, c1, c2 = a + b, a + c, b + d
+    lo = max(0, r1 - c2)
+    x = np.arange(lo, min(r1, c1) + 1)
+    f = stats._log_factorials(c1 + c2 + 1)[1:]
+    log_probs = (
+        f[c1] - f[x] - f[c1 - x] + f[c2] - f[r1 - x] - f[c2 - r1 + x]
+        - (f[c1 + c2] - f[r1] - f[c1 + c2 - r1])
+    )
+    kept = log_probs <= log_probs[a - lo] + stats._LOG1P_TOL
+    peak = log_probs[kept].max(keepdims=True)
+    total = add(np.exp(np.where(kept, log_probs - peak, -np.inf)))
+    odds = stats.odds_ratio(np.array([a]), b, c, d)
+    return float(odds[0]), min(1.0, float(np.exp(peak + np.log(total))[0]))
+
+
+class TestFisherLayout:
+    """The stack lays each table's support out as a row, padded to the
+    widest, and adds each row left to right; every table keeps the bits of
+    the one-table sum."""
+
+    def test_lone_table_sums_in_order(self):
+        # a pairwise sum (np.add.reduce) moves the last bit here; the stack adds in order
+        a, b, c, d = 1, 20, 19, 150
+        odds, p = one_table_fisher(a, b, c, d)
+        res = fisher_exact([[a, b], [c, d]])
+        assert (res.statistic, res.p_value) == (odds, p)
+        assert fisher_exact([[[a, b], [c, d]]]).p_value.tolist() == [p]
+        assert fisher_exact([[[a, b], [c, d]], [[2, 7], [3, 9]]]).p_value[0] == p
+        pairwise = one_table_fisher(a, b, c, d, add=lambda t: np.add.reduce(t[:, None], axis=0))
+        assert pairwise[1] != p
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            # supports of 3 to 3 901 steps
+            [(1, 1, 1, 1), (3, 5, 6, 4), (60, 70, 80, 90), (2000, 2100, 1900, 2000)],
+            # as given, a row margin above the other column's total, so the
+            # support starts above 0 until the orientation turns it around
+            [(30, 2, 5, 1), (900, 4, 7, 3), (12, 0, 1, 1)],
+            # supports of 12, 103 and 131 steps in one stack
+            [(10, 40, 1, 90), (2, 150, 100, 3), (60, 70, 80, 90), (1, 50, 3, 60)],
+            # the tables of one explanation share (c1, c2)
+            [(a, 200 - a, 150 - a, 1300 + a) for a in (0, 3, 17, 40, 99, 150)],
+        ],
+        ids=["widths", "lo-above-zero", "tenfold-widths", "shared-margins"],
+    )
+    def test_stack_matches_one_table_sums(self, tables):
+        for stack in (tables, [t[::-1] for t in tables], tables[:1]):
+            res = fisher_exact(np.array(stack).reshape(-1, 2, 2))
+            expected = [one_table_fisher(*t) for t in stack]
+            assert list(zip(res.statistic.tolist(), res.p_value.tolist())) == expected
+
+
 class TestWelchT:
+    def test_moments_match_numpy(self):
+        """welch_t takes its means and variances from np.add.reduce passes; the
+        statistic has the bits of one built from np.mean and np.var(ddof=1)."""
+        rng = np.random.default_rng(26)
+        for nx, ny in [(2, 2), (3, 1000), (7, 129), (128, 9), (513, 4097)]:
+            xs = rng.normal(50.0, 15.0, nx)
+            ys = rng.normal(48.0, 3.0, ny) * rng.choice([1.0, 1e-3, 1e6])
+            a, b = np.var(xs, ddof=1) / nx, np.var(ys, ddof=1) / ny
+            t = (float(np.mean(xs)) - float(np.mean(ys))) / math.sqrt(float(a) + float(b))
+            res = welch_t(xs, ys)
+            assert res.statistic == t
+            assert stats.sample_mean(xs) == float(np.mean(xs))
+            assert stats._sample_moments(ys) == (float(np.mean(ys)), float(np.var(ys, ddof=1)))
+
     def test_tail_matches_betainc(self):
         """_t_two_tailed(t, df) is betainc(df/2, 1/2, x) at the same double x,
         within 1e-9 relative, for df from 0.05 to 20 000; t = 0 gives 1, and
@@ -357,6 +433,14 @@ class TestBhFdr:
     def test_nan_rejected(self):
         with pytest.raises(InvalidArguments):
             bh_fdr([0.5, float("nan")])
+
+    @pytest.mark.parametrize(
+        "pvals, first",
+        [([0.5, 1.2, -0.1], "1.2"), ([0.5, -0.1, 1.2], "-0.1"), ([float("nan"), 0.2, 3.0], "nan")],
+    )
+    def test_message_names_the_first_bad_value(self, pvals, first):
+        with pytest.raises(InvalidArguments, match=rf"^p-value out of \[0, 1\]: {first}$"):
+            bh_fdr(pvals)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=40))
     @settings(deadline=None)
