@@ -178,7 +178,6 @@ def _metrics_text(m: LooMetrics) -> str:
 def cmd_tune(args: argparse.Namespace) -> int:
     cohort = load_input(args)
     metric = Metric(args.metric)
-    out = _out_dir(args)
     radius_grid = parse_grid(args.radius_grid, "radius_grid")
     threshold_grid = parse_grid(args.pvalue_grid, "pvalue_grid")
     try:
@@ -189,6 +188,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             criterion = CriterionB(min_precision=args.min_precision)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    out = _out_dir(args)
     try:
         result = grid_search(cohort, metric, radius_grid, threshold_grid, criterion)
         grid, winner = result.grid, result.winner

@@ -39,13 +39,6 @@ class Metric(Enum):
     MANHATTAN = "manhattan"
     GOWER = "gower"
 
-    @classmethod
-    def parse(cls, text: str) -> "Metric":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"not a metric: {text!r}") from None
-
 
 def _block(bin_a, bin_b, metric: Metric, cont_a=None, cont_b=None, ranges=()):
     """Distances from every row of block a to every row of block b.

@@ -6,7 +6,6 @@ before that.
 """
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -36,55 +35,35 @@ _CF_EPS = 1e-15
 _CF_MAX_TERMS = 20_000
 
 
-def _lgamma_table(size: int) -> np.ndarray:
-    """lgamma(m) for m = 0, ..., size - 1, with entry 0 = inf (the pole)."""
-    return np.fromiter(itertools.chain([math.inf], map(math.lgamma, range(1, size))), np.float64)
-
-
-_logfact = _lgamma_table(256)
+# (rising, falling, top); see _log_factorials
+_logfact = (None, None, -1)
 _logfact_lock = threading.Lock()
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """Cached lgamma table: _log_factorials(n)[m] == log((m-1)!) for 1 <= m <= n.
+def _log_factorials(n: int):
+    """(rising, falling, top) with n <= top and, for 0 <= m <= top,
+    rising[m] == falling[top - m] == math.lgamma(m + 1) == log(m!).
 
-    The shared table only grows, and the caller gets the table it checked,
-    so a concurrent call for a smaller n can never hand back a short one.
+    Each read-only table is followed by as many zeros as it has entries, so
+    a run of log(m!) that rises or falls by one per step from any m <= top,
+    for at most top + 1 steps, is one window of rising or falling; steps
+    past the table (m > top, or m < 0) read zeros. The shared tables only
+    grow, and the caller gets the ones it checked, so a concurrent call for
+    a smaller n can never hand back a short one.
     """
     global _logfact
-    table = _logfact
-    if n + 1 < table.size:
-        return table
+    tables = _logfact
+    if n <= tables[2]:
+        return tables
     with _logfact_lock:
-        if n + 1 >= _logfact.size:
-            _logfact = _lgamma_table(2 * (n + 1))
+        if n > _logfact[2]:
+            f = np.fromiter(map(math.lgamma, range(1, 2 * n + 3)), np.float64)
+            zeros = np.zeros(f.size)
+            rising, falling = np.concatenate([f, zeros]), np.concatenate([f[::-1], zeros])
+            rising.setflags(write=False)
+            falling.setflags(write=False)
+            _logfact = (rising, falling, f.size - 1)
         return _logfact
-
-
-# (table, rising, falling, top) for the current _logfact; see _log_factorial_runs
-_runs = (None, None, None, 0)
-
-
-def _log_factorial_runs(n: int):
-    """(rising, falling, top) with rising[m] == falling[top - m] == log(m!) for 0 <= m <= n.
-
-    Each table is followed by as many zeros as it has entries, so a run of
-    log(m!) that rises or falls by one per step from any m <= n, for at
-    most n + 1 steps, is one window of rising or falling; steps past the
-    table (m > top, or m < 0) read zeros. Both are built once per grown
-    _log_factorials table and read-only.
-    """
-    global _runs
-    lf = _log_factorials(n + 1)
-    runs = _runs
-    if runs[0] is not lf:
-        f = lf[1:]
-        zeros = np.zeros(f.size)
-        rising, falling = np.concatenate([f, zeros]), np.concatenate([f[::-1], zeros])
-        rising.setflags(write=False)
-        falling.setflags(write=False)
-        runs = _runs = (lf, rising, falling, f.size - 1)
-    return runs[1:]
 
 
 def _windows(run, width):
@@ -171,25 +150,23 @@ def _tails(n: int, p: float) -> np.ndarray:
     if p == 0.0 or p == 1.0:
         tails[: n + 1] = p
     else:
-        lf = _log_factorials(n + 1)
-        j = np.arange(n + 1)
-        # the same log terms as lf[1 + j] and lf[n + 1 - j], from views
-        _sum_tails(tails[:-1], _log_terms(lf, n, j, p, lf[1 : n + 2], lf[n + 1 : 0 : -1]))
+        rising, falling, top = _log_factorials(n)
+        # log j! and log (n - j)! for j = 0, ..., n, as views
+        log_j, log_rest = rising[: n + 1], falling[top - n : top + 1]
+        _sum_tails(tails[:-1], _log_terms(rising[n], log_j, log_rest, n, np.arange(n + 1), p))
     tails[0] = 1.0
     return tails
 
 
-def _log_terms(lf, n, j, p, log_j=None, log_rest=None):
+def _log_terms(log_n, log_j, log_rest, n, j, p):
     """log P(X = j) for X ~ Binomial(n, p), elementwise, with 0 < p < 1.
 
-    log C(n, j) = log n! - log j! - log (n - j)!, from lf = _log_factorials;
-    log_j and log_rest may be passed as cheaper views of lf[1 + j] and
-    lf[n + 1 - j]. Every element depends only on its own (n, j), so a term
-    has the same bits in a whole table and in any window of it.
+    log C(n, j) = log_n - log_j - log_rest, the log factorials of n, j and
+    n - j read from _log_factorials. Every element depends only on its own
+    (n, j), so a term has the same bits in a whole table and in any window
+    of it.
     """
-    if log_j is None:
-        log_j, log_rest = lf[1 + j], lf[n + 1 - j]
-    return lf[n + 1] - log_j - log_rest + j * math.log(p) + (n - j) * math.log1p(-p)
+    return log_n - log_j - log_rest + j * math.log(p) + (n - j) * math.log1p(-p)
 
 
 def _sum_tails(out, log_terms, valid=None):
@@ -238,14 +215,15 @@ def _tail_window(n, p):
       or its window's largest term is the one at lo (then the shift may
       lie below lo). Otherwise every entry below lo is >= every threshold.
     """
-    lf = _log_factorials(int(n.max()) + 1)
+    rising = _log_factorials(int(n.max()))[0]
+    log_n = rising[n]
     mode = np.minimum(np.floor((n + 1) * p).astype(np.int64), n)
-    cut = _log_terms(lf, n, mode, p) + _UNDERFLOW
+    cut = _log_terms(log_n, rising[mode], rising[n - mode], n, mode, p) + _UNDERFLOW
     # the log term at a stays >= cut; b is past n, or its log term is < cut
     a, b = mode, n + 1
     while (b - a > 1).any():
         mid = (a + b) // 2
-        below = _log_terms(lf, n, mid, p) < cut
+        below = _log_terms(log_n, rising[mid], rising[n - mid], n, mid, p) < cut
         a, b = np.where(below, a, mid), np.where(below, mid, b)
     return np.maximum(mode - 2, 0), b
 
@@ -256,14 +234,13 @@ def _window_tails(n, lo, hi, p):
     width = int((hi - lo).max())
     j = lo + np.arange(width, dtype=np.float64)  # exact integers, as in _tails
     valid = j < hi
-    # the rows of lf[1 + j] and lf[n + 1 - j] are runs of the table, so
-    # they are taken as windows; a column past hi, which no sum reads, may
-    # fall in the zero padding
-    lf = _log_factorials(int(n.max()) + 1)
-    rising, falling, top = _log_factorial_runs(int(n.max()))
+    # the rows of log j! and log (n - j)! are runs of the table, so they
+    # are taken as windows; a column past hi, which no sum reads, may fall
+    # in the zero padding
+    rising, falling, top = _log_factorials(int(n.max()))
     log_j = _windows(rising, width)[lo[:, 0]]
     log_rest = _windows(falling, width)[top - (n - lo)[:, 0]]
-    log_terms = _log_terms(lf, n, j, p, log_j, log_rest)
+    log_terms = _log_terms(rising[n], log_j, log_rest, n, j, p)
     window = np.empty(j.shape)
     shift = _sum_tails(window, log_terms, valid)
     window[lo[:, 0] == 0, 0] = 1.0  # P(X >= 0), as in _tails
@@ -300,10 +277,10 @@ def _log_hypergeom(r1, c1, c2, width):
     f[c1] - f[x] - f[c1 - x] + f[c2] - f[r1 - x] - f[c2 - r1 + x]
     - (f[c1 + c2] - f[r1] - f[c1 + c2 - r1]), summed left to right. Each
     term that moves with x reads a run of f, taken as a window of
-    _log_factorial_runs; a step past a table's support may read the zero
+    _log_factorials; a step past a table's support may read the zero
     padding, and no sum reads it.
     """
-    rising, falling, top = _log_factorial_runs(int((c1 + c2).max(initial=0)))
+    rising, falling, top = _log_factorials(int((c1 + c2).max(initial=0)))
     down = _windows(falling, width)
     out = rising[c1][:, None] - rising[:width]
     out -= down[top - c1]

@@ -119,21 +119,27 @@ class TestBinomTail:
 
 class TestLogFactorials:
     def test_table_matches_gammaln(self):
-        """math.lgamma's table is within 1e-15 relative of scipy's gammaln up to
-        20 000, and entry 0 is the same inf."""
-        table = stats._log_factorials(20_000)[:20_001]
-        expected = gammaln(np.arange(20_001, dtype=np.float64))
-        assert table[0] == expected[0] == math.inf
-        assert table[1] == table[2] == 0.0
-        np.testing.assert_allclose(table[1:], expected[1:], rtol=1e-15, atol=0)
+        """log(m!) is math.lgamma(m + 1) bit for bit, within 1e-15 relative of
+        scipy's gammaln up to m = 20 000, the same run read down in falling,
+        and zero past the top."""
+        rising, falling, top = stats._log_factorials(20_000)
+        assert top >= 20_000
+        assert rising.size == falling.size == 2 * (top + 1)
+        m = np.arange(top + 1)
+        assert rising[m].tolist() == [math.lgamma(i + 1) for i in range(top + 1)]
+        assert rising[m].tobytes() == falling[top - m].tobytes()
+        assert not rising[top + 1 :].any() and not falling[top + 1 :].any()
+        assert rising[0] == rising[1] == 0.0
+        expected = gammaln(np.arange(1, 20_002, dtype=np.float64))
+        np.testing.assert_allclose(rising[:20_001], expected, rtol=1e-15, atol=0)
 
     def test_small_call_after_large_never_shrinks(self):
         large = stats._log_factorials(5000)
-        assert large.size > 5001
+        assert large[2] >= 5000 and large[0].size > 5001
         small = stats._log_factorials(10)
-        assert small.size >= large.size
-        assert stats._logfact.size >= large.size
-        assert small[10] == pytest.approx(math.lgamma(10), rel=1e-15)
+        assert small[2] >= large[2] and small[0].size >= large[0].size
+        assert stats._logfact[2] >= large[2]
+        assert small[0][10] == pytest.approx(math.lgamma(11), rel=1e-15)
 
     def test_concurrent_calls_cover_their_n(self):
         failures = []
@@ -141,11 +147,10 @@ class TestLogFactorials:
         def worker(seed):
             rng = np.random.default_rng(seed)
             for n in rng.integers(0, 20_000, size=200).tolist():
-                table = stats._log_factorials(n)
-                if table.size <= n:
-                    failures.append((n, table.size))
-                rising, falling, top = stats._log_factorial_runs(n)
-                if not (n <= top and rising[n] == falling[top - n] == table[n + 1]):
+                rising, falling, top = stats._log_factorials(n)
+                if top < n or rising.size <= n:
+                    failures.append((n, top, rising.size))
+                elif not rising[n] == falling[top - n] == math.lgamma(n + 1):
                     failures.append(("runs", n, top))
 
         old = sys.getswitchinterval()
@@ -160,6 +165,33 @@ class TestLogFactorials:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+
+
+class TestWindowTails:
+    """binom_tail_counts sums a window [lo, hi) of each tail table: its
+    entries are the whole table's bits, and the table is 0 from hi on."""
+
+    SIZES = np.r_[0:40, 97, 300, 1000, 1090, 1200, 2500, 6000, 15_000][:, None].astype(np.int64)
+
+    @pytest.mark.parametrize("p", [1e-3, 0.05, 875 / 2418, 0.5, 0.77, 0.999])
+    @pytest.mark.parametrize("from_zero", [False, True], ids=["window", "re-sum"])
+    def test_rows_are_the_table_bits(self, p, from_zero):
+        lo, hi = stats._tail_window(self.SIZES, p)
+        if from_zero:
+            lo = np.zeros_like(lo)
+        window, _ = stats._window_tails(self.SIZES, lo, hi, p)
+        for n, a, b, row in zip(self.SIZES[:, 0], lo[:, 0], hi[:, 0], window):
+            table = binom_tail(n, p)
+            assert row[: b - a].tobytes() == table[a:b].tobytes()
+            assert not row[b - a :].any() and not table[b:].any()
+
+    def test_underflow_cuts_large_tables(self):
+        # at p = 1/2 the term at k = n is 2^-n, so hi <= n only once 2^-n is
+        # below the mode's term by a factor of more than e^750
+        n = self.SIZES[:, 0]
+        hi = stats._tail_window(self.SIZES, 0.5)[1][:, 0]
+        assert (hi[n >= 1200] <= n[n >= 1200]).all()
+        assert (hi[n <= 1000] == n[n <= 1000] + 1).all()
 
 
 class TestFisherExact:
@@ -281,7 +313,7 @@ def one_table_fisher(a, b, c, d, add=lambda terms: np.cumsum(terms)[-1:]):
     r1, c1, c2 = a + b, a + c, b + d
     lo = max(0, r1 - c2)
     x = np.arange(lo, min(r1, c1) + 1)
-    f = stats._log_factorials(c1 + c2 + 1)[1:]
+    f = stats._log_factorials(c1 + c2)[0]
     log_probs = (
         f[c1] - f[x] - f[c1 - x] + f[c2] - f[r1 - x] - f[c2 - r1 + x]
         - (f[c1 + c2] - f[r1] - f[c1 + c2 - r1])
