@@ -30,7 +30,7 @@ from .distance import Metric, distance_matrix
 from .errors import FillError, NoFeasibleCell, UsageError
 from .explain import explain_record
 from .synth import default_spec, synth_cohort_with_truth, write_truth
-from .tune import CriterionA, CriterionB, LooMetrics, grid_search, loo_evaluate
+from .tune import CriterionA, CriterionB, LooMetrics, check_grids, grid_search, loo_evaluate
 
 
 def config_keys() -> set:
@@ -180,6 +180,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     metric = Metric(args.metric)
     radius_grid = parse_grid(args.radius_grid, "radius_grid")
     threshold_grid = parse_grid(args.pvalue_grid, "pvalue_grid")
+    check_grids(radius_grid, threshold_grid)
     try:
         if args.criterion == "a":
             criterion = CriterionA(min_tp=args.min_tp)

@@ -94,8 +94,11 @@ def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
 
     A table is non-increasing, so c[i, t] is also the least k with
     P(X >= k) < thresholds[t]. Each count equals the one read from the
-    whole binom_tail table, but only a window of it is summed (see
-    _tail_window). Thresholds must lie in (0, 1].
+    whole binom_tail table, but only a window of it is summed, up to where
+    the smallest threshold allows (_tail_window); a row whose entries that
+    decide a count lie within the window's rounding of their threshold
+    (_near) is summed again over the whole table. Thresholds must lie in
+    (0, 1].
     """
     sizes = np.asarray(sizes)
     if (
@@ -114,12 +117,17 @@ def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
         # a table is 1 up to k = 0 (p = 0) or k = n (p = 1) and 0 after
         # it, and every threshold lies in (0, 1]
         return np.repeat(n + 1 if p == 1.0 else np.ones_like(n), thresholds.size, axis=1)
-    lo, hi = _tail_window(n, p)
+    lo, hi = _tail_window(n, p, float(thresholds.min()))
     window, edge = _window_tails(n, lo, hi, p)
-    counts = lo + _count(window, thresholds)
-    again = np.flatnonzero((lo[:, 0] > 0) & ((window[:, 0] < thresholds.max()) | edge))
+    inside = _count(window, thresholds)
+    counts = lo + inside
+    again = np.flatnonzero(
+        ((lo[:, 0] > 0) & ((window[:, 0] < thresholds.max()) | edge))
+        | _near(window, inside, thresholds, n)
+    )
     if again.size:
-        window, _ = _window_tails(n[again], np.zeros_like(lo[again]), hi[again], p)
+        lo, hi = _tail_window(n[again], p)
+        window, _ = _window_tails(n[again], np.zeros_like(lo), hi, p)
         counts[again] = _count(window, thresholds)
     return counts
 
@@ -142,9 +150,10 @@ def _tails(n: int, p: float) -> np.ndarray:
     """binom_tail(n, p) for a checked n and p.
 
     _window_tails sums a window [lo, hi) of the same table with the same
-    _log_terms and _sum_tails, and its entries are these bits: from
-    lo = mode - 2 up the shift and the reverse cumsum are unchanged, and
-    from hi up every term is an exact 0 (see _tail_window).
+    _log_terms and _sum_tails. Over the underflow window (_tail_window
+    with no threshold) its entries are these bits: from lo = mode - 2 up
+    the shift and the reverse cumsum are unchanged, and from hi up every
+    term is an exact 0.
     """
     tails = np.zeros(n + 2)
     if p == 0.0 or p == 1.0:
@@ -196,29 +205,48 @@ def _sum_tails(out, log_terms, valid=None):
 
 # exp(x) is an exact 0 for every double x below about -745.13
 _UNDERFLOW = -750.0
+# e^-38 is below 2^-53 by a factor of 3.5, room for the rounding of the
+# log terms that place the threshold cut
+_CUT_SLACK = 38.0
+# 2^-1022 * 2^53: from here up, every entry within _near's band of a
+# threshold is a normal double
+_CUT_FLOOR = 2.0 ** -969
 
 
-def _tail_window(n, p):
-    """[lo, hi) per size: the k whose binom_tail entries binom_tail_counts sums.
+def _tail_window(n, p, t_min=0.0):
+    """[lo, hi) per size: the k whose binom_tail entries binom_tail_counts
+    sums to count the entries >= thresholds of at least t_min.
 
-    With 0 < p < 1, the window is exact:
+    With 0 < p < 1:
     - lo = max(0, mode - 2). A table's shift is its largest term, at the
-      mode, and its reverse cumsum runs from k = n down, so the entries at
-      k >= lo have the same bits whether or not the terms below lo are
-      summed.
-    - hi is the first k above the mode whose log term is below the mode's
-      by more than 750, found by bisection. The log pmf is concave, so
-      from hi up every term is exp(< -745.13), an exact 0: it leaves the
-      cumsum's bits unchanged, and the table is 0 from hi on.
+      mode, and its reverse cumsum runs from the top down, so the entries
+      at k >= lo do not depend on whether the terms below lo are summed.
+    - hi is the first k above the mode whose log term falls below a cut,
+      found by bisection; the log pmf is concave, so the terms fall from
+      the mode up. The cut is the larger of two:
+      - the underflow cut, 750 below the mode's log term. From there up
+        every term is exp(< -745.13), an exact 0, so the window's entries
+        are the table's bits and the table is 0 from hi on. The window is
+        this one when t_min is below 2^-969 (t_min = 0 by default).
+      - the threshold cut, log(t_min) - log(n + 1) - 38. The at most n + 1
+        terms from hi up are each below e^-38 t_min / (n + 1), so together
+        below 2^-53 t_min: the table is below every threshold from hi on,
+        and below hi a window's entries differ from the table's only in
+        the last places that _near bounds. The mode's term is at least
+        1 / (n + 1), so hi stays above the mode.
     - binom_tail_counts sums a table again from lo = 0 when its entry at lo
       is below the largest threshold (then an entry below lo may be, too)
       or its window's largest term is the one at lo (then the shift may
-      lie below lo). Otherwise every entry below lo is >= every threshold.
+      lie below lo). Otherwise every count reaches past lo, and the entry
+      that decides it is >= its threshold in the table too (_near), so
+      every entry below lo is as well.
     """
     rising = _log_factorials(int(n.max()))[0]
     log_n = rising[n]
     mode = np.minimum(np.floor((n + 1) * p).astype(np.int64), n)
     cut = _log_terms(log_n, rising[mode], rising[n - mode], n, mode, p) + _UNDERFLOW
+    if t_min >= _CUT_FLOOR:
+        np.maximum(cut, math.log(t_min) - _CUT_SLACK - np.log1p(n), out=cut)
     # the log term at a stays >= cut; b is past n, or its log term is < cut
     a, b = mode, n + 1
     while (b - a > 1).any():
@@ -226,6 +254,38 @@ def _tail_window(n, p):
         below = _log_terms(log_n, rising[mid], rising[n - mid], n, mid, p) < cut
         a, b = np.where(below, a, mid), np.where(below, mid, b)
     return np.maximum(mode - 2, 0), b
+
+
+def _near(window, inside, thresholds, n):
+    """Rows of binom_tail_counts whose window may count differently from
+    the whole table: an entry that decides a count lies within
+    2 (n + 4) 2^-53 of its threshold, relative to the larger of the two.
+
+    inside[i, t] counts the window's entries >= thresholds[t]; the two that
+    decide it are the last entry >= T and the first < T. Rows are
+    non-increasing, so when the table has each on the same side of T as
+    the window, both count the same. Past the window the table is below
+    2^-53 t_min (_tail_window), so a count that reaches hi is decided.
+
+    The band: a table entry and a window entry at k are reverse cumsums of
+    the same computed terms, times the same scale. With u = 2^-53 and E the
+    exact scaled sum of the terms from k up, recursive summation of at most
+    n + 1 terms and one product give the table's entry E (1 + a) and the
+    window's (E - O)(1 + b), with |a|, |b| <= g = (n + 1) u / (1 - (n + 1) u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2)
+    and O < u t_min the mass from hi up. So the two differ by at most
+    2g / (1 - g) w + u (1 + 3g) T for a window entry w near T, which is
+    below 2 (n + 4) u max(w, T) while n < 2^26. An entry outside the band
+    is on the same side of T in the table: the clamp to 1 only moves a
+    window entry toward the thresholds below it, so the check is still safe.
+    """
+    rows = np.arange(window.shape[0])[:, None]
+    band = 2.0 ** -52 * (n + 4)
+    near = np.zeros(window.shape[0], dtype=bool)
+    for column in (np.maximum(inside - 1, 0), np.minimum(inside, window.shape[1] - 1)):
+        entry = window[rows, column]
+        near |= (np.abs(entry - thresholds) <= band * np.maximum(entry, thresholds)).any(axis=1)
+    return near
 
 
 def _window_tails(n, lo, hi, p):

@@ -199,9 +199,13 @@ def _decision_thresholds(sizes, p0, thresholds):
     P(X >= k) < T holds iff k >= k*(n, T), and k* is the number of table
     entries >= T. `binom_tail_counts` reads that number from a window of
     each table, ROW_BLOCK sizes at a time, and gives the full table's
-    count: the entries from two below the mode up are bitwise the full
-    table's, the terms past the window are exact zeros, and a row whose
-    window could miss an entry below T is summed again from k = 0.
+    count. A window runs from two below the mode up to where the terms
+    left out sum to below 2^-53 of the smallest threshold, or underflow to
+    exact zeros, whichever comes first; its entries are the full table's
+    within 2 (n + 4) 2^-53 relative, the error of two reverse cumsums plus
+    the omitted mass. A row with an entry that decides a count within that
+    band of its threshold, or whose window could miss an entry below T, is
+    summed again from k = 0 over the table's whole nonzero range.
     """
     k_star = np.zeros((int(sizes.max()) + 1, len(thresholds)), dtype=np.int64)
     for start in range(0, sizes.size, ROW_BLOCK):
@@ -337,6 +341,24 @@ def _rank_key(cell: GridCell, criterion):
     return (m.true_positives, precision, -cell.radius, -cell.p_threshold)
 
 
+def check_grids(radius_grid, threshold_grid):
+    """(radii, thresholds): each given grid sorted and without repeats, and
+    None for a grid left to its default. Raises EmptyGrid for an empty grid
+    and InvalidGrid for a radius that is not >= 0 or a threshold outside
+    (0, 1]."""
+    radii, thresholds = (
+        None if grid is None else tuple(sorted(set(map(float, grid))))
+        for grid in (radius_grid, threshold_grid)
+    )
+    if radii == () or thresholds == ():
+        raise EmptyGrid("both grids must be non-empty")
+    if any(not s >= 0 for s in radii or ()):
+        raise InvalidGrid(f"radii must be >= 0, got {radius_grid!r}")
+    if any(not 0.0 < t <= 1.0 for t in thresholds or ()):
+        raise InvalidGrid(f"thresholds must be in (0, 1], got {threshold_grid!r}")
+    return radii, thresholds
+
+
 def evaluate_grid(
     cohort: Cohort, metric: Metric, radius_grid=None, threshold_grid=None
 ) -> tuple[GridCell, ...]:
@@ -347,18 +369,11 @@ def evaluate_grid(
     same cells, and neither builds the n x n matrix.
     """
     _require_binary_schema(cohort, metric)
-    if radius_grid is None:
-        radius_grid = default_radius_grid(cohort, metric)
-    if threshold_grid is None:
-        threshold_grid = default_threshold_grid()
-    radii = tuple(sorted(set(float(s) for s in radius_grid)))
-    thresholds = tuple(sorted(set(float(t) for t in threshold_grid)))
-    if not radii or not thresholds:
-        raise EmptyGrid("both grids must be non-empty")
-    if any(not s >= 0 for s in radii):
-        raise InvalidGrid(f"radii must be >= 0, got {radius_grid!r}")
-    if any(not 0.0 < t <= 1.0 for t in thresholds):
-        raise InvalidGrid(f"thresholds must be in (0, 1], got {threshold_grid!r}")
+    radii, thresholds = check_grids(radius_grid, threshold_grid)
+    if radii is None:
+        radii = default_radius_grid(cohort, metric)
+    if thresholds is None:
+        thresholds = default_threshold_grid()
     metrics = iter(_grid_metrics(cohort, metric, radii, thresholds))
     return tuple(GridCell(s, t, next(metrics)) for s in radii for t in thresholds)
 

@@ -278,8 +278,7 @@ class TestTuneCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        assert not (out / "grid_table.csv").exists()
-        assert not (out / "grid_report.json").exists()
+        assert not out.exists()
 
     def test_no_feasible_cell_exit_2_report_written(self, synth_dir, tmp_path):
         out = tmp_path / "nofeasible"

@@ -6,6 +6,7 @@ from scipy.stats import binom
 
 import fill.distance
 import fill.tune
+from fill import stats
 from fill.classify import Decision, FillModel, Hyperparameters, base_rate, classify
 from fill.cohort import Label
 from fill.distance import ROW_BLOCK, DistanceMatrix, Metric, distance_matrix
@@ -380,12 +381,55 @@ class TestCountKernel:
         k_star = _decision_thresholds(sizes, p, thresholds)
         assert np.array_equal(k_star, full_table_k_star(sizes, p, thresholds))
 
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    def test_thresholds_on_entries_the_cut_window_rounds_differently(self, p):
+        # A window cut at t_min = 1e-6 sums its cumsum from a lower top than
+        # the whole table, so a few entries above t_min differ in the last
+        # places. Thresholds equal to those entries, or one step either
+        # side, are where only the re-sum of the near rows gives the
+        # whole table's count.
+        t_min = 1e-6
+        sizes = np.arange(1, 4000, dtype=np.int64)[:, None]
+        lo, hi = stats._tail_window(sizes, p, t_min)
+        window, _ = stats._window_tails(sizes, lo, hi, p)
+        cases = []
+        for n, a, b, row in zip(sizes[:, 0], lo[:, 0], hi[:, 0], window):
+            table = binom_tail(n, p)[a:b]
+            for entry in table[(table != row[: b - a]) & (table > t_min)]:
+                cases.append((n, entry))
+        assert cases
+        unguarded = 0
+        for n, entry in cases:
+            thresholds = [t_min, entry, np.nextafter(entry, 0.0), np.nextafter(entry, 1.0)]
+            expected = full_table_k_star([n], p, thresholds)[n]
+            assert np.array_equal(_decision_thresholds(np.array([n]), p, thresholds)[n], expected)
+            windowed = lo[n - 1] + stats._count(window[n - 1 : n], np.array(thresholds))
+            unguarded += not np.array_equal(windowed[0], expected)
+        # the window alone miscounts some of them
+        assert unguarded
 
-def full_table_cells(cohort, metric):
+    @pytest.mark.parametrize("t_min", [1e-300, 5e-324])
+    def test_tiny_thresholds_keep_the_underflow_window(self, t_min):
+        sizes = np.r_[0:40, 97, 300, 1000, 1767, 2940, 6000][:, None].astype(np.int64)
+        for p in (1e-3, 0.1, 0.5, 0.999):
+            assert np.array_equal(stats._tail_window(sizes, p, t_min), stats._tail_window(sizes, p))
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [[5e-324, 1e-6, 0.05, 1.0], [1e-300, 0.05, 1.0], [1.0], [np.nextafter(1.0, 0.0), 1.0]],
+    )
+    def test_k_star_at_extreme_thresholds(self, thresholds):
+        sizes = np.r_[0:40, 97, 300, 1000, 1767, 2940, 6000]
+        for p in (1e-3, 0.1, 0.5, 0.999):
+            k_star = _decision_thresholds(sizes, p, thresholds)
+            assert np.array_equal(k_star, full_table_k_star(sizes, p, thresholds))
+
+
+def full_table_cells(cohort, metric, threshold_grid=None):
     """evaluate_grid's cells with k* read from whole tail tables."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fill.tune, "_decision_thresholds", full_table_k_star)
-        return evaluate_grid(cohort, metric)
+        return evaluate_grid(cohort, metric, threshold_grid=threshold_grid)
 
 
 class TestWindowedTables:
@@ -395,6 +439,15 @@ class TestWindowedTables:
     def test_jaccard_cells_equal_full_table_cells(self, seed):
         cohort, _ = synth_cohort_with_truth(default_spec(1400, 600, 60, seed=seed))
         assert evaluate_grid(cohort, Metric.JACCARD) == full_table_cells(cohort, Metric.JACCARD)
+
+    def test_user_threshold_grid_down_to_underflow(self):
+        # 1e-300 is below the floor of the threshold cut, so every window
+        # keeps its underflow cut; 1.0 re-sums every row whose entry at lo is below 1
+        cohort, _ = synth_cohort_with_truth(default_spec(1400, 600, 60, seed=7))
+        grid = (1e-300, 1e-6, 0.05, 1.0)
+        cells = evaluate_grid(cohort, Metric.JACCARD, threshold_grid=grid)
+        assert {cell.p_threshold for cell in cells} == set(grid)
+        assert cells == full_table_cells(cohort, Metric.JACCARD, grid)
 
     def test_gower_cells_and_radii_over_several_blocks(self):
         # 300 labeled records: the radius grid's pairs come from two row
