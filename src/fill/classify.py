@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .cohort import Cohort
-from .distance import DistanceMatrix, Metric
+from .distance import DistanceMatrix, Metric, _require_metric
 from .errors import ModelCohortMismatch, NoLabeledRecords, UnknownRecord
 from .stats import binom_sf
 
@@ -31,8 +31,7 @@ class Hyperparameters:
     metric: Metric
 
     def __post_init__(self):
-        if not isinstance(self.metric, Metric):
-            raise TypeError(f"metric must be a Metric, not {type(self.metric).__name__}")
+        _require_metric(self.metric)
         if not (self.radius >= 0.0):
             raise ValueError("radius must be >= 0")
         if not (0.0 < self.p_threshold <= 1.0):

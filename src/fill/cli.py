@@ -1,11 +1,12 @@
 """Command-line entry points.
 
 Subcommands: tune, impute, explain, loo, baseline, synth. Each option is
-declared once, in `build_parser`. Options can also come from a flat
-`key = value` config file (# comments allowed): its values are parsed like
-flags, and command-line flags override them. Every command is a pure
-function of its inputs and options (synth's --seed among them), so reruns
-write byte-identical files.
+declared once, in `build_parser`, on the commands that read it, and must
+be spelled in full: abbreviations are refused. Options can also come from
+a flat `key = value` config file (# comments allowed): its values are
+parsed like flags, and command-line flags override them. Every command
+is a pure function of its inputs and options (synth's --seed among
+them), so reruns write byte-identical files.
 
 Exit codes: 0 success, 1 usage or input error, 2 no feasible grid cell.
 """
@@ -331,30 +332,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_command(sub, name, run, summary):
-    p = sub.add_parser(name, help=summary)
+def _add_command(sub, name, run, summary, reads_cohort=True):
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.set_defaults(run=run)
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--input", help="cohort CSV file")
-    p.add_argument("--schema", default="", help="column roles, e.g. continuous=age;ignore=x1")
+    if reads_cohort:
+        p.add_argument("--input", help="cohort CSV file")
+        p.add_argument("--schema", default="", help="column roles, e.g. continuous=age;ignore=x1")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; ignored")
     return p
 
 
-def _add_model_flags(p):
+def _add_model_flags(p, fixed=True):
     p.add_argument("--metric", choices=["jaccard", "manhattan", "gower"], default="gower")
-    p.add_argument("--radius", type=float, help="neighborhood radius S")
-    p.add_argument("--pvalue", type=float, help="significance threshold T")
+    if fixed:
+        p.add_argument("--radius", type=float, help="neighborhood radius S")
+        p.add_argument("--pvalue", type=float, help="significance threshold T")
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fill", description=__doc__)
+    parser = _Parser(prog="fill", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
     p = _add_command(sub, "tune", cmd_tune, "grid-search radius and threshold via leave-one-out")
-    _add_model_flags(p)
+    _add_model_flags(p, fixed=False)
     p.add_argument("--criterion", choices=["a", "b"], default="a")
     p.add_argument("--min-precision", type=float, default=0.85)
     p.add_argument("--min-tp", type=int, default=10)
@@ -373,7 +376,7 @@ def build_parser() -> _Parser:
 
     _add_command(sub, "baseline", cmd_baseline, "logistic-regression comparison")
 
-    p = _add_command(sub, "synth", cmd_synth, "generate a seeded synthetic cohort")
+    p = _add_command(sub, "synth", cmd_synth, "generate a seeded synthetic cohort", reads_cohort=False)
     p.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
     p.add_argument("--n-labeled", type=int, default=200)
     p.add_argument("--n-unlabeled", type=int, default=100)

@@ -104,6 +104,8 @@ class Cohort:
         for lo, hi in self.continuous_ranges:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError("continuous range must be finite with min <= max")
+        if not np.isfinite(self.continuous).all():
+            raise ValueError("continuous values must be finite")
         self.binary.setflags(write=False)
         self.continuous.setflags(write=False)
 

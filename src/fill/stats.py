@@ -84,7 +84,7 @@ def binom_tail(n: int, p: float) -> np.ndarray:
     t is exactly non-increasing in k, t[0] is 1 and t[n + 1] is 0.
     """
     n = int(n)
-    if n < 0 or not (0.0 <= p <= 1.0) or not math.isfinite(p):
+    if n < 0 or not (0.0 <= p <= 1.0):
         raise InvalidArguments(f"binom_tail(n={n}, p={p})")
     return _tails(n, float(p))
 
@@ -105,7 +105,6 @@ def binom_tail_counts(sizes, p: float, thresholds) -> np.ndarray:
         sizes.ndim != 1
         or (sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 0))
         or not (0.0 <= p <= 1.0)
-        or not math.isfinite(p)
     ):
         raise InvalidArguments(f"binom_tail_counts(sizes={sizes!r}, p={p})")
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -325,7 +324,7 @@ def binom_sf(k: int, n: int, p: float) -> float:
     """
     k = int(k)
     n = int(n)
-    if k < 0 or n < 0 or k > n or not (0.0 <= p <= 1.0) or not math.isfinite(p):
+    if k < 0 or n < 0 or k > n or not (0.0 <= p <= 1.0):
         raise InvalidArguments(f"binom_sf(k={k}, n={n}, p={p})")
     return float(_shared_tail(n, float(p))[k])
 

@@ -95,30 +95,15 @@ class FrontierPoint:
     winner: GridCell | None
 
 
-def _labeled_blocks(cohort, rows, block, own, upper=False):
-    """(start, block(chunk, columns)) per ROW_BLOCK chunk of rows, start its
-    position in rows.
-
-    block(chunk, columns) holds the chunk's values against the labeled
-    records at the positions columns (a slice), one column each. A record's
-    own column is set to own, so no record is ever inside its own ball. With
-    upper, rows are the labeled records, each chunk is taken against the
-    labeled from its own position on, and own fills the diagonal and below:
-    every labeled pair (i, j), i < j, is then in one block once.
-    """
+def _labeled_blocks(cohort, block):
+    """block(chunk, slice(start, None)) per ROW_BLOCK chunk of the labeled
+    records, start the chunk's position among them: the chunk against the
+    labeled from itself on, one column each, so every labeled pair (i, j),
+    i < j, is above the diagonal of one block once. Each caller drops the
+    diagonal and the cells below it."""
     labeled = np.flatnonzero(cohort.labeled_mask)
-    column_of = np.full(len(cohort), -1)
-    column_of[labeled] = np.arange(labeled.size)
-    for start in range(0, rows.size, ROW_BLOCK):
-        chunk = rows[start : start + ROW_BLOCK]
-        if upper:
-            values = block(chunk, slice(start, None))
-            values[:, : chunk.size][np.tri(chunk.size, dtype=bool)] = own
-        else:
-            values = block(chunk, slice(None))
-            mine = np.flatnonzero(column_of[chunk] >= 0)
-            values[mine, column_of[chunk[mine]]] = own
-        yield start, values
+    for start in range(0, labeled.size, ROW_BLOCK):
+        yield block(labeled[start : start + ROW_BLOCK], slice(start, None))
 
 
 def _codes_fit(cohort) -> bool:
@@ -150,44 +135,51 @@ def _distance_source(cohort, metric):
 
 
 def _neighborhood_counts(cohort, metric, radii):
-    """N[i, r] labeled and K[i, r] POS records within radii[r] of record i.
+    """N[i, r] labeled and K[i, r] POS records within radii[r] of record i,
+    record i itself left out.
 
-    radii must be sorted ascending. When the code tables fit, a pair code's
+    radii must be sorted ascending and >= 0, as `check_grids` leaves them.
+    Each record is counted against all labeled records, then taken out of
+    its own counts: its distance to itself is exactly 0.0 (mismatch 0,
+    every Gower term |x - x| = 0, and its own pair code has value 0), so
+    it is inside its every ball. When the code tables fit, a pair code's
     bucket is the number of radii below its value, so the pair is inside
-    the ball of every radius from that bucket on; a record's own column
-    takes the bucket past the last radius. One bincount per block tallies
-    its buckets keyed on (row, whether the column is POS, bucket); K sums
-    the POS tally up the radii, and N is K plus the other tally's sums.
-    Otherwise each row block's distances are sorted, labeled and POS columns
-    apart, and one searchsorted per row counts the closed ball at every
-    radius; the own column is NaN, which sorts last and is never <= a
-    radius, even inf.
+    the ball of every radius from that bucket on. One bincount per block
+    tallies its buckets keyed on (row, whether the column is POS, bucket);
+    K sums the POS tally up the radii, and N is K plus the other tally's
+    sums. Otherwise each row block's distances are sorted, labeled and POS
+    columns apart, and one searchsorted per row counts the closed ball at
+    every radius.
     """
     is_pos = cohort.pos_mask[cohort.labeled_mask]
-    pos = np.flatnonzero(is_pos)
-    rows = np.arange(len(cohort))
     n_arr = np.empty((len(cohort), len(radii)), dtype=np.int64)
     k_arr = np.empty_like(n_arr)
+    blocks = [slice(start, start + ROW_BLOCK) for start in range(0, len(cohort), ROW_BLOCK)]
     if _codes_fit(cohort):
+        # the last bucket, past every radius, is dropped
         width = len(radii) + 1
         bucket = np.searchsorted(radii, code_values(cohort, metric), "left").astype(np.int32)
         codes = _code_source(cohort)
         key = np.add.outer(2 * width * np.arange(ROW_BLOCK), width * is_pos, dtype=np.int32)
-        blocks = _labeled_blocks(cohort, rows, lambda *at: bucket[codes(*at)], width - 1)
-        for start, buckets in blocks:
-            block = slice(start, start + len(buckets))
+        for block in blocks:
+            buckets = bucket[codes(block, slice(None))]
             buckets += key[: len(buckets)]
             tally = np.bincount(buckets.ravel(), minlength=2 * width * len(buckets))
             tally = tally.reshape(-1, 2, width)[:, :, :-1]
             np.cumsum(tally[:, 1], axis=1, out=k_arr[block])
             np.cumsum(tally[:, 0], axis=1, out=n_arr[block])
             n_arr[block] += k_arr[block]
-        return n_arr, k_arr
-    for start, block in _labeled_blocks(cohort, rows, _distance_source(cohort, metric), np.nan):
-        for out, columns in ((n_arr, block), (k_arr, block[:, pos])):
-            columns.sort(axis=1)
-            for i, row in enumerate(columns, start):
-                out[i] = row.searchsorted(radii, "right")
+    else:
+        pos = np.flatnonzero(is_pos)
+        distances = _distance_source(cohort, metric)
+        for block in blocks:
+            values = distances(block, slice(None))
+            for out, columns in ((n_arr[block], values), (k_arr[block], values[:, pos])):
+                columns.sort(axis=1)
+                for i, row in enumerate(columns):
+                    out[i] = row.searchsorted(radii, "right")
+    n_arr[cohort.labeled_mask] -= 1
+    k_arr[cohort.pos_mask] -= 1
     return n_arr, k_arr
 
 
@@ -296,10 +288,10 @@ def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
     if _codes_fit(cohort):
         values = code_values(cohort, metric)
         histogram = np.zeros(values.size + 1, dtype=np.int64)
-        blocks = _labeled_blocks(cohort, labeled, _code_source(cohort), values.size, upper=True)
-        for _, codes in blocks:
+        for codes in _labeled_blocks(cohort, _code_source(cohort)):
+            # the diagonal and below go to the last bin, which is dropped
+            codes[:, : len(codes)][np.tri(len(codes), dtype=bool)] = values.size
             histogram += np.bincount(codes.ravel(), minlength=values.size + 1)
-        # drops the last bin, the diagonal and below
         order = np.argsort(values)
         counts = histogram[order]
         if not counts.any():
@@ -307,8 +299,7 @@ def default_radius_grid(cohort: Cohort, metric: Metric) -> tuple[float, ...]:
         return _quantile_radii(values[order], counts)
     pairs = np.empty(labeled.size * (labeled.size - 1) // 2)
     at = 0
-    blocks = _labeled_blocks(cohort, labeled, _distance_source(cohort, metric), np.nan, upper=True)
-    for _, block in blocks:
+    for block in _labeled_blocks(cohort, _distance_source(cohort, metric)):
         # the upper triangle in triu_indices order
         upper = block[~np.tri(*block.shape, dtype=bool)]
         pairs[at : at + upper.size] = upper

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import fill.cli
@@ -8,7 +9,8 @@ import fill.tune
 from fill.cli import build_parser, config_keys, main, parse_config_file, parse_schema_spec
 
 from conftest import make_cohort
-from fill.cohort import write_cohort
+from fill.cohort import Cohort, FeatureSchema, write_cohort
+from fill.synth import default_spec, synth_cohort_with_truth
 
 
 def run(argv):
@@ -172,6 +174,28 @@ class TestSeed:
         assert capsys.readouterr().err == "error: unrecognized arguments: --seed=1\n"
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # flags of other commands
+            ["tune", "--radius", "0.5"], ["tune", "--pvalue", "0.05"],
+            ["synth", "--input", "x.csv"], ["synth", "--schema", "continuous=c0"],
+            # abbreviations of flags the command has
+            ["impute", "--rad", "0.5"], ["tune", "--radius-g", "0.5"],
+            ["loo", "--metr", "jaccard"], ["synth", "--n-lab", "5"],
+        ],
+    )
+    def test_each_flag_belongs_to_its_commands_in_full(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        extra = [] if argv[0] == "synth" else ["--input", str(tmp_path / "missing.csv")]
+        assert run(argv + extra + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
+        assert not out.exists()
+
+
 class TestSchemaSpec:
     def test_roles(self):
         roles = parse_schema_spec("continuous=age,bmi;ignore=x1")
@@ -331,6 +355,40 @@ class TestTuneCommand:
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestTuneThenImpute:
+    """`fill impute` at the winner of `fill tune` imputes POS for as many
+    UNKNOWN records as the winner's yield says: the grid's count-space
+    decisions and impute's per-record tests agree."""
+
+    @pytest.mark.parametrize("metric, n_continuous", [("jaccard", 0), ("gower", 3)])
+    def test_impute_at_the_winner_gives_its_yield(self, tmp_path, metric, n_continuous):
+        base, _ = synth_cohort_with_truth(default_spec(300, 150, 30, seed=7))
+        names = tuple(f"c{j:02d}" for j in range(n_continuous))
+        continuous = np.random.default_rng(7).normal(50, 15, size=(len(base), n_continuous))
+        cohort = Cohort.make(
+            FeatureSchema(base.schema.binary_names, names),
+            base.ids, base.binary, continuous, base.labels,
+        )
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        # with continuous columns the grid counts from sorted rows, else from pair codes
+        assert fill.tune._codes_fit(cohort) is not bool(n_continuous)
+        inputs = ["--input", str(path), "--metric", metric]
+        if names:
+            inputs += ["--schema", "continuous=" + ",".join(names)]
+        tuned, imputed = tmp_path / "tuned", tmp_path / "imputed"
+        assert run(["tune", *inputs, "--criterion", "b", "--out", str(tuned)]) == 0
+        winner = json.loads((tuned / "grid_report.json").read_text())["winner"]
+        assert run([
+            "impute", *inputs, "--radius", repr(winner["radius"]),
+            "--pvalue", repr(winner["p_threshold"]), "--out", str(imputed),
+        ]) == 0
+        summary = json.loads((imputed / "impute_summary.json").read_text())
+        assert summary["n_imputed_pos"] > 0
+        assert summary["n_imputed_pos"] == round(winner["yield"] * summary["n_labeled"])
+        assert summary["yield_proportion"] == winner["yield"]
 
 
 class TestImputeCommand:

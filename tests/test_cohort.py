@@ -425,6 +425,17 @@ class TestPrevalenceFilter:
             prevalence_filter(cohort)
 
 
+class TestContinuousInvariant:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected_by_constructor(self, tiny_mixed_cohort, value):
+        # a record at a non-finite value would not be at distance 0 from itself
+        c = tiny_mixed_cohort
+        continuous = c.continuous.copy()
+        continuous[2, 0] = value
+        with pytest.raises(ValueError, match="continuous values must be finite"):
+            Cohort(c.schema, c.ids, c.binary, continuous, c.labels, c.continuous_ranges)
+
+
 class TestSelectFeatures:
     def test_subset_keeps_schema_order(self, tiny_mixed_cohort):
         sub = select_features(tiny_mixed_cohort, ["age", "b1"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import fill.distance
 from fill.cohort import Cohort, FeatureSchema, Label, load_cohort, write_cohort
 from fill.distance import (
+    ROW_BLOCK,
     Metric,
     _block,
     code_factors,
@@ -247,6 +248,41 @@ class TestDistanceMatrix:
         for i in sorted({0, 255, 256, n - 1, unknown, 250} & set(range(n))):
             row, _ = distance_block(cohort, metric, [i], labeled)
             assert row[0].tobytes() == values[i, labeled].tobytes()
+
+
+class TestOwnDistance:
+    """A record's distance to itself is exactly 0.0 from distance blocks and
+    from its own pair code, so it is inside every ball of radius >= 0."""
+
+    @pytest.mark.parametrize(
+        "metric, n_continuous",
+        [(Metric.JACCARD, 0), (Metric.MANHATTAN, 0), (Metric.GOWER, 0), (Metric.GOWER, 3)],
+    )
+    def test_own_column_and_own_code_are_zero(self, metric, n_continuous):
+        base = random_cohort(np.random.default_rng(31), 300, 7, n_unknown=60,
+                             n_continuous=n_continuous)
+        binary = base.binary.copy()
+        labeled = np.flatnonzero(base.labeled_mask)
+        # all-zero records: labeled ones in both row blocks and an UNKNOWN one
+        zero = [labeled[0], labeled[-1], int(np.flatnonzero(~base.labeled_mask)[0])]
+        binary[zero] = 0
+        continuous = base.continuous.copy()
+        if n_continuous:
+            # large magnitudes with a small span
+            continuous[:, 0] = 1e12 + continuous[:, 0] / 7
+        cohort = make_cohort(
+            binary.tolist(), [lab.name for lab in base.labels],
+            continuous_rows=continuous, continuous_names=base.schema.continuous_names,
+        )
+        assert len(cohort) > ROW_BLOCK
+        for start in range(0, len(cohort), ROW_BLOCK):
+            values, _ = distance_block(cohort, metric, slice(start, start + ROW_BLOCK), slice(None))
+            assert (values.diagonal(start) == 0.0).all()
+        if n_continuous == 0:
+            labeled_bits = cohort.binary[cohort.labeled_mask]
+            own = pair_codes(*code_factors(labeled_bits, labeled_bits)).diagonal()
+            assert (code_values(cohort, metric)[own] == 0.0).all()
+            assert (own == labeled_bits.sum(axis=1)).all() and (own == 0).any()
 
 
 class TestMetricType:

@@ -52,8 +52,9 @@ class TestBinomSf:
             binom_sf(5, 3, 0.5)
         with pytest.raises(InvalidArguments):
             binom_sf(-1, 3, 0.5)
-        with pytest.raises(InvalidArguments):
-            binom_sf(1, 3, 1.5)
+        for p in (1.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidArguments):
+                binom_sf(1, 3, p)
 
     @given(
         n=st.integers(0, 60),
@@ -92,9 +93,13 @@ class TestBinomTail:
         assert [binom_sf(k, n, p) for k in range(n + 1)] == tail[: n + 1].tolist()
 
     def test_invalid_arguments(self):
-        for n, p in ((-1, 0.5), (3, -0.1), (3, 1.5), (3, float("nan"))):
+        for n, p in (
+            (-1, 0.5), (3, -0.1), (3, 1.5), (3, float("nan")), (3, float("inf")), (3, -float("inf")),
+        ):
             with pytest.raises(InvalidArguments):
                 binom_tail(n, p)
+            with pytest.raises(InvalidArguments):
+                binom_tail_counts([n], p, [0.1])
 
     def test_tail_counts_invalid_arguments(self):
         assert binom_tail_counts([], 0.3, [0.1]).shape == (0, 1)

@@ -31,7 +31,7 @@ from fill.tune import (
 )
 
 from conftest import make_cohort, random_cohort, reversed_cohort
-from oracles import brute_force_cell, brute_force_winner, full_table_k_star
+from oracles import _naive_distance, brute_force_cell, brute_force_winner, full_table_k_star
 
 
 def hp(radius, threshold):
@@ -486,6 +486,51 @@ class TestWindowedTables:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
             assert evaluate_grid(cohort, metric) == cells
+
+
+class TestOwnRecordLeftOut:
+    """`_neighborhood_counts` counts each record inside its own balls and then
+    takes it out once; twins at distance 0 stay counted."""
+
+    @pytest.mark.parametrize(
+        "metric, n_continuous, sorted_rows",
+        [
+            (Metric.JACCARD, 0, False), (Metric.JACCARD, 0, True),
+            (Metric.MANHATTAN, 0, False), (Metric.MANHATTAN, 0, True),
+            (Metric.GOWER, 0, False), (Metric.GOWER, 0, True), (Metric.GOWER, 1, True),
+        ],
+    )
+    def test_twins_counted_and_self_not(self, monkeypatch, metric, n_continuous, sorted_rows):
+        rows = [
+            [0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 1],
+            [0, 1, 1], [0, 1, 1], [1, 1, 1], [1, 0, 1], [0, 1, 0], [0, 0, 0],
+        ]
+        labels = [
+            "POS", "NEG", "UNKNOWN", "POS", "POS", "NEG",
+            "POS", "UNKNOWN", "POS", "NEG", "NEG", "POS",
+        ]
+        # twins share their continuous value too
+        continuous = [[float(sum(r))] for r in rows]
+        cohort = make_cohort(
+            rows, labels, continuous_rows=continuous if n_continuous else None,
+            continuous_names=("c0",) if n_continuous else (),
+        )
+        if sorted_rows and not n_continuous:
+            monkeypatch.setattr(fill.tune, "_codes_fit", lambda cohort: False)
+        assert fill.tune._codes_fit(cohort) is not sorted_rows
+        radii = np.array([0.0, 0.5, 1.0])
+        n_arr, k_arr = _neighborhood_counts(cohort, metric, radii)
+        labeled = np.flatnonzero(cohort.labeled_mask)
+        for i in range(len(cohort)):
+            others = [j for j in labeled if j != i]
+            d = np.array([_naive_distance(cohort, metric.value, i, j) for j in others])
+            pos = cohort.pos_mask[others]
+            assert n_arr[i].tolist() == [int((d <= r).sum()) for r in radii]
+            assert k_arr[i].tolist() == [int((d[pos] <= r).sum()) for r in radii]
+        # at radius 0: the three labeled all-zero records, 0, 1 and 11, see
+        # each other; record 9, labeled and without a twin, sees nobody
+        assert n_arr[[0, 1, 2, 11, 9], 0].tolist() == [2, 2, 3, 2, 0]
+        assert k_arr[[0, 1, 2, 11], 0].tolist() == [1, 2, 2, 1]
 
 
 class TestDistancesMatchCohort:
